@@ -37,6 +37,12 @@ def host_cores() -> Dict[str, int]:
     return {"cpu_count": cpu_count, "affinity_cores": affinity}
 
 
+# What a ``bdd`` column in a trajectory row measures: the verifier, LEC
+# maintenance and PredMap are one text over a region carrier, and ``bdd``
+# runs it on the oracle.
+BDD_COLUMN = "reference carrier (parity oracle), not a deployable mode"
+
+
 def record_trajectory(path: Path, record: dict, key_fields: Sequence[str]) -> None:
     """Append ``record`` to the JSON trajectory at ``path``, replacing any
     existing entry with the same key in place.

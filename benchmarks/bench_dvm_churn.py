@@ -5,13 +5,16 @@ then apply a long stream of single-rule updates (half behaviour-preserving
 route refreshes, the rest re-points with occasional drops, each followed by
 a measured restore) and report sustained updates/sec.
 
-Two runs per backend, identical except for the verifiers' region algebra:
+Two runs per backend, identical except for the carrier the one verifier /
+LEC / PredMap text runs on:
 
-* **bdd** — the seed representation: every CIB/LEC split is a linear scan
-  with one BDD conjunction per entry and per lower-priority rule.
-* **atoms** — the dynamic atomic-predicate index: the same splits collapse
-  to frozenset operations over atom ids; BDDs only run at refinement and
-  wire boundaries.
+* **atoms** — the production carrier: regions are packed ``int`` masks over
+  the dynamic atomic-predicate index, so every CIB/LEC split is inline int
+  algebra; BDDs only run at refinement and wire boundaries.
+* **bdd** — the reference carrier: the same text on canonical BDD
+  ``Predicate``s, one BDD operation per ``&`` / ``|`` / ``& ~``.  It is the
+  parity suites' oracle, not a deployable mode; its column is recorded to
+  show what the mask carrier buys.
 
 Both runs must produce identical verdicts (asserted here; the byte-level
 parity is pinned by ``tests/test_predicate_index_parity.py``).  A warmup
@@ -34,7 +37,13 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks._common import SCALE, print_header, print_row, record_trajectory
+from benchmarks._common import (
+    BDD_COLUMN,
+    SCALE,
+    print_header,
+    print_row,
+    record_trajectory,
+)
 from repro.core.language import parse_packet_space
 from repro.dataplane import Action, Rule
 from repro.datasets import build_dataset
@@ -162,7 +171,7 @@ def test_dvm_churn(benchmark, name, pair_limit, multiplier, intents):
         f"DVM incremental churn — {name} ×{multiplier} "
         f"({intents} intents, scale={SCALE})"
     )
-    print_row("backend", "bdd up/s", "atoms up/s", "speedup")
+    print_row("backend", "bdd (ref) up/s", "atoms up/s", "speedup")
     for backend in ("serial", "process"):
         print_row(
             backend,
@@ -188,6 +197,7 @@ def test_dvm_churn(benchmark, name, pair_limit, multiplier, intents):
                 backend: speedups[backend] for backend in speedups
             },
             "speedup_floor": SPEEDUP_FLOORS[SCALE],
+            "bdd_column": BDD_COLUMN,
             # Smoke rows are bitrot checks: no floor was enforced, so a
             # sub-floor ratio there must not read as a standing loss.
             "speedup_asserted": SPEEDUP_FLOORS[SCALE] is not None,

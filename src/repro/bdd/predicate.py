@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.bdd.fields import HeaderLayout
 from repro.bdd.manager import FALSE, TRUE, BddManager
 
-__all__ = ["Predicate", "PacketSpaceContext"]
+__all__ = ["Predicate", "PacketSpaceContext", "BddCarrier"]
 
 
 class Predicate:
@@ -117,6 +117,35 @@ class Predicate:
         return f"Predicate(node={self.node}, packets={self.count()})"
 
 
+def _same(word):
+    return word
+
+
+class BddCarrier:
+    """Reference region carrier: a word *is* a canonical :class:`Predicate`.
+
+    The verifier, the incremental LEC maintenance and :class:`PredMap` are
+    written once over *words* combined with ``&``, ``|``, ``& ~`` and
+    truthiness; a carrier supplies everything else (see DESIGN.md, "One
+    region algebra").  Here every conversion is the identity — this is the
+    oracle the parity suites run the same text on, the production carrier
+    being :class:`~repro.core.atomindex.MaskCarrier`.
+    """
+
+    lift = lower = resolve = keep = word = staticmethod(_same)
+
+    def __init__(self, ctx: "PacketSpaceContext") -> None:
+        self.empty = ctx.empty
+
+    @staticmethod
+    def image(transform, word: Predicate) -> Predicate:
+        return transform.apply(word)
+
+    @staticmethod
+    def preimage(transform, word: Predicate) -> Predicate:
+        return transform.preimage(word)
+
+
 class PacketSpaceContext:
     """Factory and shared state for predicates over one header layout.
 
@@ -130,6 +159,32 @@ class PacketSpaceContext:
         self._false = Predicate(self, FALSE)
         self._true = Predicate(self, TRUE)
         self._atom_index = None
+        self._carriers: Dict[str, object] = {}
+
+    def carrier(self, predicate_index: str):
+        """The region carrier a ``predicate_index`` value names.
+
+        The one place a representation is chosen: ``"atoms"`` is the
+        production carrier (packed ``int`` masks over the shared atom
+        index), ``"bdd"`` the reference carrier the parity suites compare
+        it against.  One carrier per mode per context, so planes, LEC tables
+        and verifiers that share a context share handles.
+        """
+        carrier = self._carriers.get(predicate_index)
+        if carrier is None:
+            if predicate_index == "atoms":
+                from repro.core.atomindex import MaskCarrier
+
+                carrier = MaskCarrier(self.atom_index())
+            elif predicate_index == "bdd":
+                carrier = BddCarrier(self)
+            else:
+                raise ValueError(
+                    f"unknown predicate index {predicate_index!r} "
+                    "(expected 'atoms' or 'bdd')"
+                )
+            self._carriers[predicate_index] = carrier
+        return carrier
 
     def atom_index(self):
         """The shared dynamic atom index over this packet space.

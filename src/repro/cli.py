@@ -714,9 +714,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument(
         "--predicate-index", choices=("atoms", "bdd"), default="atoms",
-        help="verifier region algebra: 'atoms' = dynamic atomic-predicate "
-             "index (integer-set hot path), 'bdd' = raw BDD predicates; "
-             "verdicts are byte-identical either way",
+        help="carrier the verifier's region algebra runs on: 'atoms' = "
+             "packed integer masks over the dynamic atomic-predicate index "
+             "(production), 'bdd' = the oracle carrier (same code on raw "
+             "BDD predicates, for parity checks); verdicts are "
+             "byte-identical either way",
     )
     p_sim.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -744,8 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("trace", help="trace file from 'simulate --trace'")
     p_replay.add_argument(
         "--predicate-index", choices=("atoms", "bdd"), default=None,
-        help="override the recorded region-algebra mode; outcomes must be "
-             "byte-identical either way",
+        help="override the recorded region carrier ('bdd' = the oracle "
+             "carrier); outcomes must be byte-identical either way",
     )
     p_replay.add_argument(
         "--provenance", default=None, metavar="PATH",

@@ -61,7 +61,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.bdd.manager import FALSE
 from repro.bdd.predicate import PacketSpaceContext, Predicate
 
-__all__ = ["AtomSet", "AtomIndex"]
+__all__ = ["AtomSet", "AtomIndex", "MaskCarrier"]
 
 _ROOT = 0
 _MASK64 = (1 << 64) - 1
@@ -323,8 +323,8 @@ class AtomIndex:
         """AtomSet over a raw leaf-slot mask the caller read from live sets.
 
         The mask must cover current leaf slots only (reads of tracked sets
-        always do); used by the fused verifier kernels, which work on raw
-        masks and wrap only their final results."""
+        always do); this is :class:`MaskCarrier`'s ``keep`` — the verifier
+        and LEC text work on raw masks and wrap only what they store."""
         return self._make(mask)
 
     def from_ids(self, ids: Iterable[int]) -> AtomSet:
@@ -564,16 +564,6 @@ class AtomIndex:
         self._atomize_cache.setdefault(pred.node, mask)
         return pred
 
-    def transform_image(self, transform, aset: AtomSet) -> AtomSet:
-        """Image of an AtomSet under a header rewrite (BDD-land round trip).
-
-        The image may cross existing atom boundaries; atomize refines them.
-        """
-        return self.atomize(transform.apply(self.to_predicate(aset)))
-
-    def transform_preimage(self, transform, aset: AtomSet) -> AtomSet:
-        return self.atomize(transform.preimage(self.to_predicate(aset)))
-
     # ------------------------------------------------------------------
     # Merging ("collect")
     # ------------------------------------------------------------------
@@ -743,3 +733,40 @@ class AtomIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"AtomIndex({self._leaf_count} atoms, v{self.version})"
+
+
+class MaskCarrier:
+    """Production region carrier: a word is a packed leaf-slot ``int`` mask.
+
+    Words are combined inline with ``&``, ``|``, ``& ~`` and truthiness; the
+    carrier supplies the representation-specific rest (same interface as
+    :class:`~repro.bdd.predicate.BddCarrier`):
+
+    * ``lift`` / ``lower`` cross the wire/verdict boundary (canonical
+      :class:`Predicate` ↔ word);
+    * ``resolve`` renormalizes a word after anything that may have refined
+      the forest (``lift``, ``image``, ``preimage``) — stale and current
+      words must never meet under ``&`` or ``& ~``;
+    * ``keep`` / ``word`` wrap a word into a tracked :class:`AtomSet` handle
+      and read it back: raw words never outlive a handler, anything stored
+      is a handle so :meth:`AtomIndex.compact` sees (and preserves) the
+      boundaries it distinguishes;
+    * ``image`` / ``preimage`` push a word through a header transform (a
+      BDD-land round trip; the result may cross atom boundaries, which
+      ``lift`` refines).
+    """
+
+    empty = 0
+    word = staticmethod(AtomSet.mask)
+
+    def __init__(self, index: AtomIndex) -> None:
+        self.lift = index.atomize_mask
+        self.lower = index.mask_to_predicate
+        self.resolve = index._resolve_mask
+        self.keep = index.from_mask
+
+    def image(self, transform, word: int) -> int:
+        return self.lift(transform.apply(self.lower(self.resolve(word))))
+
+    def preimage(self, transform, word: int) -> int:
+        return self.lift(transform.preimage(self.lower(self.resolve(word))))

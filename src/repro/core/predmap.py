@@ -1,16 +1,14 @@
 """Predicate-keyed maps: disjoint (packet set → value) partitions.
 
 CIBIn, LocCIB and CIBOut (§5.1) are all maps from *disjoint* packet-space
-predicates to counting results.  :class:`PredMap` maintains that disjointness
-invariant under lookups, regional reassignment and diffing, and is the one
+regions to counting results.  :class:`PredMap` maintains that disjointness
+invariant under lookups, regional reassignment and removal, and is the one
 data structure the DVM implementation leans on.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
-
-from repro.bdd.predicate import PacketSpaceContext, Predicate
+from typing import Dict, Generic, Iterable, Iterator, List, Tuple, TypeVar
 
 __all__ = ["PredMap"]
 
@@ -20,198 +18,115 @@ V = TypeVar("V")
 class PredMap(Generic[V]):
     """A partition of (a subset of) packet space into valued regions.
 
-    Entries are pairwise-disjoint ``(Predicate, value)`` pairs.  Regions with
-    equal values are merged opportunistically so the map stays minimal —
-    mirroring how the paper's devices "merge entries with the same count
-    value" before sending (§5.2 step 3).
+    Written once over the *words* of a region carrier
+    (:meth:`PacketSpaceContext.carrier`): callers pass and receive raw words
+    that are current (``resolve``d) and die with the handler; the entries
+    themselves outlive it, so they are stored as carrier handles
+    (``keep``) and read back through ``word``.  Regions with equal values
+    are merged on write so the map stays minimal — mirroring how the
+    paper's devices "merge entries with the same count value" before
+    sending (§5.2 step 3).
     """
 
-    def __init__(self, ctx) -> None:
-        # ``ctx`` is any *space*: a PacketSpaceContext for BDD-backed maps or
-        # an AtomIndex for atom-backed ones.  Only ``.empty`` and ``.union``
-        # are used, and keys are whichever region type the space produces.
-        self.ctx = ctx
-        # Keyed by value when hashable for cheap merging; we keep a list of
-        # (pred, value) and merge on write.
-        self._entries: List[Tuple[Predicate, V]] = []
-        self._domain: Optional[Predicate] = None
+    def __init__(self, carrier) -> None:
+        self._word = carrier.word
+        self._keep = carrier.keep
+        # Pairwise-disjoint (handle, value) pairs; iteration order is what
+        # fixes piece order, and therefore DVM wire bytes.
+        self._entries: List[Tuple[object, V]] = []
 
     # ------------------------------------------------------------------
     # Read side
     # ------------------------------------------------------------------
-    def entries(self) -> List[Tuple[Predicate, V]]:
-        return list(self._entries)
+    def _split(self, region) -> Tuple[List[Tuple[object, V]], object]:
+        pieces: List[Tuple[object, V]] = []
+        remaining = region
+        word = self._word
+        for handle, value in self._entries:
+            if not remaining:
+                break
+            piece = remaining & word(handle)
+            if piece:
+                pieces.append((piece, value))
+                remaining = remaining & ~piece
+        return pieces, remaining
 
-    def domain(self) -> Predicate:
-        """Union of all keyed regions (cached; writes invalidate)."""
-        if self._domain is None:
-            self._domain = self.ctx.union(
-                pred for pred, _value in self._entries
-            )
-        return self._domain
-
-    def lookup(self, region: Predicate) -> List[Tuple[Predicate, V]]:
+    def lookup(self, region) -> List[Tuple[object, V]]:
         """Split ``region`` along entry boundaries.
 
         Returns disjoint ``(piece, value)`` pairs covering the part of
         ``region`` that the map covers; uncovered leftovers are not returned
         (callers that need them use :meth:`lookup_with_default`).
         """
-        pieces: List[Tuple[Predicate, V]] = []
-        remaining = region
-        for pred, value in self._entries:
-            if remaining.is_empty:
-                break
-            piece = remaining & pred
-            if not piece.is_empty:
-                pieces.append((piece, value))
-                remaining = remaining - pred
-        return pieces
+        return self._split(region)[0]
 
-    def lookup_with_default(
-        self, region: Predicate, default: V
-    ) -> List[Tuple[Predicate, V]]:
+    def lookup_with_default(self, region, default: V) -> List[Tuple[object, V]]:
         """Like :meth:`lookup` but the uncovered remainder maps to
         ``default``."""
-        pieces = self.lookup(region)
-        covered = self.ctx.union(piece for piece, _value in pieces)
-        leftover = region - covered
-        if not leftover.is_empty:
-            pieces.append((leftover, default))
-        return pieces
-
-    def value_at(self, region: Predicate) -> Optional[V]:
-        """Value of a region entirely inside one entry, else ``None``."""
-        for pred, value in self._entries:
-            if pred.covers(region):
-                return value
-        return None
-
-    # ------------------------------------------------------------------
-    # Packed-mask fast paths (atom-backed maps only)
-    # ------------------------------------------------------------------
-    # The fused verifier kernels work on raw leaf-slot bitmasks and only
-    # wrap masks back into AtomSets at storage boundaries.  These twins
-    # mirror lookup/lookup_with_default/assign bit for bit: same entry
-    # iteration order, same piece order, same merge semantics — which is
-    # what keeps wire bytes identical to the generic path.
-
-    def lookup_masks(self, region_mask: int) -> List[Tuple[int, V]]:
-        """:meth:`lookup` over a raw bitmask: ``(piece_mask, value)`` pairs."""
-        pieces: List[Tuple[int, V]] = []
-        remaining = region_mask
-        for aset, value in self._entries:
-            if not remaining:
-                break
-            piece = remaining & aset.mask()
-            if piece:
-                pieces.append((piece, value))
-                remaining &= ~piece
-        return pieces
-
-    def lookup_masks_with_default(
-        self, region_mask: int, default: V
-    ) -> List[Tuple[int, V]]:
-        """:meth:`lookup_with_default` over a raw bitmask."""
-        pieces = self.lookup_masks(region_mask)
-        covered = 0
-        for mask, _value in pieces:
-            covered |= mask
-        leftover = region_mask & ~covered
+        pieces, leftover = self._split(region)
         if leftover:
             pieces.append((leftover, default))
         return pieces
 
-    def assign_masks(self, pieces: Iterable[Tuple[int, V]]) -> None:
-        """:meth:`assign` over raw bitmasks (``ctx`` must be an AtomIndex).
-
-        Masks are wrapped into tracked AtomSets here — entries must stay
-        live sets so :meth:`AtomIndex.compact` sees (and preserves) the
-        boundaries this map distinguishes."""
-        from_mask = self.ctx.from_mask
-        self.assign((from_mask(mask), value) for mask, value in pieces)
-
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[Tuple[Predicate, V]]:
+    def __iter__(self) -> Iterator[Tuple[object, V]]:
+        """The stored ``(handle, value)`` entries."""
         return iter(self._entries)
 
     # ------------------------------------------------------------------
     # Write side
     # ------------------------------------------------------------------
-    def assign(self, pieces: Iterable[Tuple[Predicate, V]]) -> None:
+    def assign(self, pieces: Iterable[Tuple[object, V]]) -> None:
         """Overwrite the regions of ``pieces`` with their new values.
 
-        Existing entries are carved down so disjointness is preserved; new
-        pieces with values equal to an adjacent surviving region are merged.
+        Existing entries are carved down so disjointness is preserved;
+        regions with equal values are merged (survivors first, then the new
+        pieces, each value keeping its first position).
         """
-        new_pieces = [(pred, value) for pred, value in pieces if not pred.is_empty]
+        new_pieces = [(region, value) for region, value in pieces if region]
         if not new_pieces:
             return
-        overwritten = self.ctx.union(pred for pred, _value in new_pieces)
-        survivors: List[Tuple[Predicate, V]] = []
-        for pred, value in self._entries:
-            kept = pred - overwritten
-            if not kept.is_empty:
+        overwritten = new_pieces[0][0]
+        for region, _value in new_pieces[1:]:
+            overwritten = overwritten | region
+        word = self._word
+        survivors: List[Tuple[object, V]] = []
+        for handle, value in self._entries:
+            kept = word(handle) & ~overwritten
+            if kept:
                 survivors.append((kept, value))
         survivors.extend(new_pieces)
-        self._entries = self._merge(survivors)
-        self._domain = None
-
-    def remove(self, region: Predicate) -> None:
-        """Delete ``region`` from the map's domain."""
-        if region.is_empty:
-            return
-        survivors: List[Tuple[Predicate, V]] = []
-        for pred, value in self._entries:
-            kept = pred - region
-            if not kept.is_empty:
-                survivors.append((kept, value))
-        self._entries = survivors
-        self._domain = None
-
-    def clear(self) -> None:
-        self._entries = []
-        self._domain = None
-
-    def _merge(self, entries: List[Tuple[Predicate, V]]) -> List[Tuple[Predicate, V]]:
-        merged: Dict[object, Predicate] = {}
+        merged: Dict[object, object] = {}
         values: Dict[object, V] = {}
-        order: List[object] = []
-        for pred, value in entries:
+        for region, value in survivors:
             try:
                 key: object = value
                 hash(key)
             except TypeError:
                 key = id(value)
             if key in merged:
-                merged[key] = merged[key] | pred
+                merged[key] = merged[key] | region
             else:
-                merged[key] = pred
+                merged[key] = region
                 values[key] = value
-                order.append(key)
-        return [(merged[key], values[key]) for key in order]
+        keep = self._keep
+        self._entries = [(keep(merged[key]), values[key]) for key in merged]
 
-    # ------------------------------------------------------------------
-    # Diffing
-    # ------------------------------------------------------------------
-    def changed_region(self, other: "PredMap[V]") -> Predicate:
-        """Packet space where this map's value differs from ``other``'s
-        (missing-in-one counts as different)."""
-        changed = self.ctx.empty
-        all_domain = self.domain() | other.domain()
-        remaining = all_domain
-        for pred, value in self._entries:
-            for other_pred, other_value in other._entries:  # noqa: SLF001
-                piece = pred & other_pred
-                if not piece.is_empty and value != other_value:
-                    changed = changed | piece
-            remaining = remaining - pred
-        # Regions covered by exactly one map are changes too.
-        only_self = self.domain() - other.domain()
-        only_other = other.domain() - self.domain()
-        return changed | only_self | only_other
+    def remove(self, region) -> None:
+        """Delete ``region`` from the map's domain."""
+        if not region:
+            return
+        word = self._word
+        keep = self._keep
+        survivors: List[Tuple[object, V]] = []
+        for handle, value in self._entries:
+            kept = word(handle) & ~region
+            if kept:
+                survivors.append((keep(kept), value))
+        self._entries = survivors
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"PredMap({len(self._entries)} regions)"
+

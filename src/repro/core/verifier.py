@@ -19,13 +19,19 @@ State per DPVNet node (§5.1):
   Proposition 1 minimal-information reduction); used to suppress no-op
   UPDATEs, so only changed results travel.
 
-Region representation (``predicate_index``): with ``"atoms"`` (the default)
-all CIB tables, interests and region bookkeeping hold :class:`AtomSet`s from
-the context's shared :class:`~repro.core.atomindex.AtomIndex`, so the hot
-path's splits/diffs/unions are integer-set operations.  With ``"bdd"`` they
-hold raw :class:`Predicate`s (the seed behaviour).  Either way the *wire* is
-identical: messages, verdicts and violations always carry canonical BDD
-predicates, converted at the handler boundaries.
+Region algebra (``predicate_index``): every handler below is written once
+over *words* of a region carrier (:meth:`PacketSpaceContext.carrier`),
+combined only with ``&``, ``|``, ``& ~`` and truthiness.  ``"atoms"`` (the
+default, and the only deployable mode) runs it on packed ``int`` masks over
+the context's shared :class:`~repro.core.atomindex.AtomIndex`; ``"bdd"``
+runs the same text on canonical :class:`Predicate`s as the oracle the parity
+suites compare against.  One rule keeps raw words sound: they never outlive
+a handler (anything stored — CIB entries, interests, subscriptions — is a
+carrier handle, ``keep``/``word``) and they are ``resolve``d after anything
+that may refine the carrier (``lift``, ``image``, ``preimage``, forcing a
+LEC table's handles).  The *wire* is carrier-independent: messages,
+verdicts and violations always carry canonical BDD predicates, converted
+(``lift``/``lower``) at the handler boundaries.
 """
 
 from __future__ import annotations
@@ -61,11 +67,11 @@ Outgoing = Tuple[str, object]  # (destination device, DVM message)
 
 @dataclass
 class _NodeState:
-    # Regions below are AtomSets in "atoms" mode, Predicates in "bdd" mode.
+    # ``interest`` and ``subscribed`` hold carrier handles, never raw words.
+    loc_cib: PredMap
+    cib_out: PredMap
+    interest: object
     cib_in: Dict[int, PredMap] = field(default_factory=dict)
-    loc_cib: Optional[PredMap] = None
-    cib_out: Optional[PredMap] = None
-    interest: Optional[object] = None
     subscribed: Dict[int, object] = field(default_factory=dict)
 
 
@@ -102,21 +108,13 @@ class OnDeviceVerifier:
         self.ctx: PacketSpaceContext = task.packet_space.ctx
         self.arity = len(task.atoms)
         self.is_local_check = task.atoms[0].kind is MatchKind.EQUAL
-        if predicate_index not in ("atoms", "bdd"):
-            raise ValueError(
-                f"unknown predicate index {predicate_index!r} "
-                "(expected 'atoms' or 'bdd')"
-            )
-        # ``equal``-operator local contracts never touch region algebra, so
-        # they stay on the raw-BDD path and build no index.
+        # The one place the representation is chosen.  ``equal``-operator
+        # local contracts never touch region algebra, so they take the
+        # reference carrier and refine no atom index.
+        carrier = self.ctx.carrier(predicate_index)
         if self.is_local_check:
-            predicate_index = "bdd"
-        self.predicate_index = predicate_index
-        self._use_atoms = predicate_index == "atoms"
-        self._index = self.ctx.atom_index() if self._use_atoms else None
-        # The *space* a PredMap partitions: AtomIndex or PacketSpaceContext
-        # (both expose ``.empty`` / ``.union`` over their region type).
-        self._space = self._index if self._use_atoms else self.ctx
+            carrier = self.ctx.carrier("bdd")
+        self._carrier = carrier
 
         self.nodes: Dict[int, NodeTask] = {n.node_id: n for n in task.nodes}
         self._child_by_dev: Dict[int, Dict[str, int]] = {
@@ -127,25 +125,28 @@ class OnDeviceVerifier:
             nid: {ref.node_id: ref.dev for ref in node.downstream}
             for nid, node in self.nodes.items()
         }
-        self.state: Dict[int, _NodeState] = {}
-        for nid in self.nodes:
-            st = _NodeState()
-            st.loc_cib = PredMap(self._space)
-            st.cib_out = PredMap(self._space)
-            st.interest = self._to_region(task.packet_space)
-            self.state[nid] = st
+        space = carrier.lift(task.packet_space)
+        self.state: Dict[int, _NodeState] = {
+            nid: _NodeState(
+                loc_cib=PredMap(carrier),
+                cib_out=PredMap(carrier),
+                interest=carrier.keep(space),
+            )
+            for nid in self.nodes
+        }
 
-        # Per-node memo of the forwarding split of ``interest``, keyed on
-        # (FIB epoch, interest) so rule updates and subscribe-driven interest
-        # growth both invalidate it.  In atoms mode the cached value is a
-        # pair of parallel (mask, action) arrays — the table the fused
-        # LEC+count kernel bulk-intersects against.
-        self._fwd_split_cache: Dict[int, Tuple[Tuple[int, object], object]] = {}
+        # Per-node memo of the LEC split of ``interest`` as (word, action)
+        # pairs — the table :meth:`_recompute` bulk-intersects against —
+        # keyed on (FIB epoch, interest word) so rule updates and
+        # subscribe-driven interest growth both invalidate it.  The one
+        # place words are cached across handlers: the key is the *current*
+        # interest word, which any refinement or merge inside the interest
+        # changes, and every use ``resolve``s.
+        self._fwd_split_cache: Dict[int, Tuple[Tuple[int, object], list]] = {}
 
         # Compiled per-invariant kernels (see repro.core.kernels): the
         # behavior check as one closure with pre-bound component indexes +
         # a count-set verdict memo, and a memoized Proposition-1 reducer.
-        # Both are representation-independent, so bdd mode shares them.
         self._behavior_kernel = (
             None if self.is_local_check
             else BehaviorKernel(task.behavior, task.atoms)
@@ -153,8 +154,7 @@ class OnDeviceVerifier:
         self._reduce = make_reduce_kernel(task.reduction_exps)
         self._zero_cs = singleton(zero_vec(self.arity))
         # (accept vector, end kind) -> base count vector; accept_in_scene
-        # and node_base_vector are pure in these, recomputed per piece on
-        # the generic path.
+        # and node_base_vector are pure in these.
         self._base_vec_memo: Dict[Tuple[Tuple[bool, ...], EndKind], tuple] = {}
 
         self.dead_neighbors: Set[str] = set()
@@ -164,91 +164,28 @@ class OnDeviceVerifier:
         self.local_violations: List[Violation] = []
         self.stats = _Stats()
 
-    # ------------------------------------------------------------------
-    # Region representation boundaries
-    # ------------------------------------------------------------------
-    def _to_region(self, pred: Predicate):
-        """Wire/boundary Predicate → internal region representation."""
-        if self._use_atoms:
-            return self._index.atomize(pred)
-        return pred
+    def _interest_fwd(self, node_id: int) -> List[Tuple[object, Action]]:
+        """Memoized LEC split of a node's interest: ``(word, action)`` pairs
+        in LEC-table entry order, the uncovered remainder mapped to drop.
 
-    def _to_pred(self, region) -> Predicate:
-        """Internal region → canonical Predicate (for wire and verdicts)."""
-        if self._use_atoms:
-            return self._index.to_predicate(region)
-        return region
-
-    def _fwd(self, region):
-        """LEC split of a region, in the region's own representation."""
-        if self._use_atoms:
-            return self.plane.fwd_atoms(region)
-        return self.plane.fwd(region)
-
-    def _interest_fwd(self, node_id: int):
-        """Memoized LEC split of a node's interest.
-
-        ``_preimage_region`` and ``_region_toward`` re-split the (mostly
-        static) interest on every link/update event; the split only changes
+        ``_recompute``, ``_preimage_region`` and ``_region_toward`` all read
+        the (mostly static) interest through this split; it only changes
         when the FIB changes (plane epoch) or the interest itself grows.
+        May refine the carrier (first use of a table lifts its entries).
         """
         st = self.state[node_id]
-        key = (self.plane.epoch, st.interest)
+        carrier = self._carrier
+        table = self.plane.lec_table()
+        # Force the table's handles BEFORE reading the interest word.
+        table.handles(carrier)
+        interest = carrier.word(st.interest)
+        key = (self.plane.epoch, interest)
         cached = self._fwd_split_cache.get(node_id)
         if cached is not None and cached[0] == key:
             return cached[1]
-        split = self._fwd(st.interest)
+        split = table.split(carrier, interest)
         self._fwd_split_cache[node_id] = (key, split)
         return split
-
-    def _interest_split_masks(self, node_id: int):
-        """Atoms-mode twin of :meth:`_interest_fwd`: the LEC split of the
-        node's interest as parallel ``(masks, actions)`` arrays.
-
-        This is the table the fused LEC+count kernel bulk-intersects
-        against.  Pieces appear in LEC-table entry order with the uncovered
-        remainder mapped to drop — exactly the order ``action_of_atoms``
-        yields, so everything downstream stays byte-identical.  Cached on
-        (FIB epoch, resolved interest mask): any split or merge that touches
-        the interest changes its resolved mask and misses the cache.
-        """
-        st = self.state[node_id]
-        index = self._index
-        # atom_entries() may atomize rules on first use (refining the
-        # forest), so force it BEFORE snapshotting the interest mask.
-        entries = self.plane.lec_table().atom_entries(index)
-        interest_mask = st.interest.mask()
-        key = (self.plane.epoch, interest_mask)
-        cached = self._fwd_split_cache.get(node_id)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        masks: List[int] = []
-        actions: List[Action] = []
-        remaining = interest_mask
-        for lec_aset, action in entries:
-            if not remaining:
-                break
-            piece = remaining & lec_aset.mask()
-            if piece:
-                masks.append(piece)
-                actions.append(action)
-                remaining &= ~piece
-        if remaining:
-            masks.append(remaining)
-            actions.append(Action.drop())
-        split = (masks, actions)
-        self._fwd_split_cache[node_id] = (key, split)
-        return split
-
-    def _transform_apply(self, transform, region):
-        if self._use_atoms:
-            return self._index.transform_image(transform, region)
-        return transform.apply(region)
-
-    def _transform_preimage(self, transform, region):
-        if self._use_atoms:
-            return self._index.transform_preimage(transform, region)
-        return transform.preimage(region)
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -260,10 +197,15 @@ class OnDeviceVerifier:
         if self.is_local_check:
             self._run_local_checks()
             return []
-        outgoing: List[Outgoing] = []
-        for nid in self.nodes:
-            outgoing.extend(self._recompute(nid, self.state[nid].interest))
+        outgoing = self._recompute_interests()
         self.ctx.mgr.maybe_collect()
+        return outgoing
+
+    def _recompute_interests(self) -> List[Outgoing]:
+        word = self._carrier.word
+        outgoing: List[Outgoing] = []
+        for nid, st in self.state.items():
+            outgoing.extend(self._recompute(nid, word(st.interest)))
         return outgoing
 
     def handle_update(self, message: UpdateMessage) -> List[Outgoing]:
@@ -280,6 +222,8 @@ class OnDeviceVerifier:
         identical to processing the messages one at a time — this is the
         batched round primitive the parallel backend's workers execute.
         """
+        carrier = self._carrier
+        lift, resolve = carrier.lift, carrier.resolve
         outgoing: List[Outgoing] = []
         regions: Dict[int, object] = {}
         for message in messages:
@@ -299,20 +243,21 @@ class OnDeviceVerifier:
             st = self.state[parent_id]
             cib = st.cib_in.get(child_id)
             if cib is None:
-                cib = PredMap(self._space)
+                cib = PredMap(carrier)
                 st.cib_in[child_id] = cib
-            withdrawn = self._to_region(message.withdrawn)
+            # Lift everything first (each lift may refine), then resolve.
+            withdrawn = lift(message.withdrawn)
+            results = [(lift(pred), cs) for pred, cs in message.results]
+            withdrawn = resolve(withdrawn)
             cib.remove(withdrawn)
-            cib.assign(
-                [(self._to_region(pred), cs) for pred, cs in message.results]
-            )
+            cib.assign([(resolve(region), cs) for region, cs in results])
             affected = self._preimage_region(parent_id, child_id, withdrawn)
             prev = regions.get(parent_id)
             regions[parent_id] = affected if prev is None else prev | affected
         for nid in sorted(regions):
             outgoing.extend(self._recompute(nid, regions[nid]))
         # End-of-event safe point: every live packet set is back inside a
-        # Predicate or an index-tracked AtomSet (state tables or the outgoing
+        # Predicate or a carrier handle (state tables or the outgoing
         # messages), so the engine may compact its node table here.
         self.ctx.mgr.maybe_collect()
         return outgoing
@@ -328,15 +273,21 @@ class OnDeviceVerifier:
                 f"{child_id}"
             )
         st = self.state[child_id]
+        carrier = self._carrier
         outgoing: List[Outgoing] = []
-        pred_to = self._to_region(message.pred_to)
-        new_region = pred_to - st.interest
-        if not new_region.is_empty:
-            st.interest = st.interest | pred_to
+        pred_to = carrier.lift(message.pred_to)
+        interest = carrier.word(st.interest)
+        new_region = pred_to & ~interest
+        if new_region:
+            st.interest = carrier.keep(interest | pred_to)
             outgoing.extend(self._recompute(child_id, new_region))
         # Re-announce current results over the subscribed region so the
         # subscriber converges regardless of message ordering.
-        outgoing.extend(self._announce_region(child_id, pred_to, force=True))
+        outgoing.extend(
+            self._announce_region(
+                child_id, carrier.resolve(pred_to), force=True
+            )
+        )
         return outgoing
 
     def handle_lec_deltas(self, deltas: Sequence[LecDelta]) -> List[Outgoing]:
@@ -346,16 +297,16 @@ class OnDeviceVerifier:
         if self.is_local_check:
             self._run_local_checks()
             return []
-        # Union in region representation: in atoms mode the delta predicates
-        # were just atomized by the LEC update (seeded cache), so this is
-        # pure set algebra instead of a BDD OR-chain.
-        changed = self._to_region(deltas[0].predicate)
+        # Union as words: the LEC update just lowered these predicates
+        # from the plane's own words (seeding the reverse direction), so on
+        # the mask carrier this is pure int algebra, not a BDD OR-chain.
+        lift = self._carrier.lift
+        changed = lift(deltas[0].predicate)
         for delta in deltas[1:]:
-            changed = changed | self._to_region(delta.predicate)
+            changed = changed | lift(delta.predicate)
         outgoing: List[Outgoing] = []
         for nid in self.nodes:
-            region = changed & self.state[nid].interest
-            outgoing.extend(self._recompute(nid, region))
+            outgoing.extend(self._recompute(nid, changed))
         self.ctx.mgr.maybe_collect()
         return outgoing
 
@@ -377,11 +328,12 @@ class OnDeviceVerifier:
             # Parents on the recovered link missed our updates while it was
             # down: force a full re-announcement toward them so their CIBIn
             # resynchronizes.
+            word = self._carrier.word
             for nid, node in self.nodes.items():
                 if any(ref.dev == neighbor for ref in node.upstream):
                     outgoing.extend(
                         self._announce_region(
-                            nid, self.state[nid].interest, force=True
+                            nid, word(self.state[nid].interest), force=True
                         )
                     )
         self.ctx.mgr.maybe_collect()
@@ -411,9 +363,7 @@ class OnDeviceVerifier:
         if self.is_local_check:
             self._run_local_checks()
             return []
-        outgoing: List[Outgoing] = []
-        for nid in self.nodes:
-            outgoing.extend(self._recompute(nid, self.state[nid].interest))
+        outgoing = self._recompute_interests()
         self.ctx.mgr.maybe_collect()
         return outgoing
 
@@ -429,58 +379,31 @@ class OnDeviceVerifier:
             return sid in scenes
         return True
 
-    def _preimage_region(self, node_id: int, child_id: int, downstream_region):
+    def _preimage_region(self, node_id: int, child_id: int, downstream):
         """Map a child's changed region back into this node's packet frame
         (identity without transforms, pre-image through them)."""
+        carrier = self._carrier
         child_dev = self._child_dev[node_id].get(child_id)
         if child_dev is None:
-            return self._space.empty
-        if self._use_atoms:
-            index = self._index
-            resolve = index._resolve_mask
-            masks, actions = self._interest_split_masks(node_id)
-            down_mask = downstream_region.mask()
-            region_mask = 0
-            for m, action in zip(masks, actions):
-                if child_dev not in action.group:
-                    continue
-                if action.transform is None:
-                    region_mask |= resolve(m) & down_mask
-                else:
-                    # transform_preimage may refine the forest; re-read the
-                    # downstream mask afterwards (AtomSets self-heal) and
-                    # resolve() every raw mask at its use point.
-                    pre = index.transform_preimage(
-                        action.transform, downstream_region
-                    )
-                    region_mask |= resolve(m) & pre.mask()
-                    down_mask = downstream_region.mask()
-            return index.from_mask(resolve(region_mask))
-        region = self._space.empty
-        for piece, action in self._interest_fwd(node_id):
+            return carrier.empty
+        resolve = carrier.resolve
+        split = self._interest_fwd(node_id)
+        downstream = resolve(downstream)
+        region = carrier.empty
+        for piece, action in split:
             if child_dev not in action.group:
                 continue
             if action.transform is None:
-                region = region | (piece & downstream_region)
+                region = region | (resolve(piece) & downstream)
             else:
-                region = region | (
-                    piece
-                    & self._transform_preimage(
-                        action.transform, downstream_region
-                    )
-                )
-        return region
+                pre = carrier.preimage(action.transform, downstream)
+                region = region | (resolve(piece) & pre)
+                downstream = resolve(downstream)
+        return resolve(region)
 
     def _region_toward(self, node_id: int, neighbor: str):
         """Packet space this node's device forwards toward ``neighbor``."""
-        if self._use_atoms:
-            masks, actions = self._interest_split_masks(node_id)
-            region_mask = 0
-            for m, action in zip(masks, actions):
-                if neighbor in action.group:
-                    region_mask |= m
-            return self._index.from_mask(region_mask)
-        region = self._space.empty
+        region = self._carrier.empty
         for piece, action in self._interest_fwd(node_id):
             if neighbor in action.group:
                 region = region | piece
@@ -497,123 +420,43 @@ class OnDeviceVerifier:
         return vec
 
     def _recompute(self, node_id: int, region) -> List[Outgoing]:
-        """Steps 2 and 3 of UPDATE handling: rebuild LocCIB over ``region``
-        from the LEC table and the CIBIn tables, then propagate changes."""
-        if self._use_atoms:
-            return self._recompute_atoms(node_id, region)
+        """Steps 2 and 3 of UPDATE handling, fused into one pass: rebuild
+        LocCIB over the word ``region`` from the LEC table and the CIBIn
+        tables, then propagate changes.
+
+        One loop bulk-intersects the changed region against the memoized
+        interest split and counts each piece with inline word algebra.
+        LEC entries are disjoint, so splitting the pre-split interest
+        against ``region`` equals splitting ``region`` against the table —
+        same pieces, same order.  A transform-bearing action may refine the
+        carrier mid-loop, hence the ``resolve`` at every use point and the
+        final ``resolve`` of the accumulated pieces (handles are only
+        compacted between handlers, so resolution always succeeds).
+        """
         st = self.state[node_id]
-        region = region & st.interest
-        if region.is_empty:
+        carrier = self._carrier
+        resolve = carrier.resolve
+        region = resolve(region) & carrier.word(st.interest)
+        if not region:
             return []
         self.stats.recomputations += 1
         node = self.nodes[node_id]
         subscribes: List[Outgoing] = []
         pieces: List[Tuple[object, CountSet]] = []
-        for piece, action in self._fwd(region):
-            pieces.extend(self._count_action(node, piece, action, subscribes))
-        st.loc_cib.assign(pieces)
+        for lec_piece, action in self._interest_fwd(node_id):
+            piece = resolve(region) & resolve(lec_piece)
+            if piece:
+                pieces.extend(
+                    self._count_action(node, piece, action, subscribes)
+                )
+        final = [(resolve(piece), cs) for piece, cs in pieces]
+        st.loc_cib.assign(final)
         if node.is_source_for is not None:
             self._update_verdict(node)
-        outgoing = self._announce_region(node_id, region, precomputed=pieces)
-        return subscribes + outgoing
-
-    def _recompute_atoms(self, node_id: int, region) -> List[Outgoing]:
-        """Fused LEC+count pass over packed atom words.
-
-        One loop bulk-intersects the changed region against the memoized
-        interest split (:meth:`_interest_split_masks`) and counts each piece
-        with pure mask algebra — no AtomSet wrappers, no BDD calls — for
-        transform-free actions (the overwhelming hot path).  Actions with a
-        header transform fall back to the generic self-healing AtomSet
-        kernel for just their piece, since applying a transform may refine
-        the forest and stale raw masks there; resolve() at every use point
-        plus a final resolve of the accumulated pieces keeps the math exact
-        (compact() never runs mid-handler, so rewrite tables are intact).
-
-        Pieces come out in the same order as the generic path splits them
-        (LEC entries are disjoint, so splitting the pre-split interest
-        against ``region`` equals splitting ``region`` against the table),
-        which keeps LocCIB merges, announcements and wire bytes identical.
-        """
-        st = self.state[node_id]
-        region = region & st.interest
-        if region.is_empty:
-            return []
-        self.stats.recomputations += 1
-        node = self.nodes[node_id]
-        index = self._index
-        resolve = index._resolve_mask
-        subscribes: List[Outgoing] = []
-        # Force the split table BEFORE reading the region mask: building it
-        # may atomize LEC entries (refining the forest).
-        masks, actions = self._interest_split_masks(node_id)
-        region_mask = region.mask()
-        pieces: List[Tuple[int, CountSet]] = []
-        for m, action in zip(masks, actions):
-            piece = resolve(region_mask) & resolve(m)
-            if not piece:
-                continue
-            if action.transform is None:
-                pieces.extend(self._count_action_masks(node, piece, action))
-            else:
-                for sub, cs in self._count_action(
-                    node, index.from_mask(piece), action, subscribes
-                ):
-                    pieces.append((sub.mask(), cs))
-        final = [(resolve(m), cs) for m, cs in pieces]
-        st.loc_cib.assign_masks(final)
-        if node.is_source_for is not None:
-            self._update_verdict(node)
-        outgoing = self._announce_masks(
-            node_id, resolve(region_mask), precomputed=final
+        outgoing = self._announce_region(
+            node_id, resolve(region), precomputed=final
         )
         return subscribes + outgoing
-
-    def _count_action_masks(
-        self, node: NodeTask, piece_mask: int, action: Action
-    ) -> List[Tuple[int, CountSet]]:
-        """Transform-free counting over raw masks: the fused kernel's inner
-        loop.  Mirrors :meth:`_count_action` case for case — same seeds,
-        same ⊕/⊗ combination order, same piece order."""
-        st = self.state[node.node_id]
-        accept = node.accept_in_scene(self.active_scene)
-        if action.is_drop:
-            base = self._base_vector(accept, EndKind.DROPPED)
-            return [(piece_mask, singleton(base))]
-        deliver_cs = singleton(self._base_vector(accept, EndKind.DELIVERED))
-        zero = self._zero_cs
-        child_by_dev = self._child_by_dev[node.node_id]
-        cib_in = st.cib_in
-
-        def member_pieces(member: str, region_mask: int):
-            if member == EXTERNAL:
-                return [(region_mask, deliver_cs)]
-            child_id = child_by_dev.get(member)
-            if child_id is None or not self._edge_alive(node, child_id, member):
-                return [(region_mask, zero)]
-            cib = cib_in.get(child_id)
-            if cib is None:
-                return [(region_mask, zero)]
-            return cib.lookup_masks_with_default(region_mask, zero)
-
-        if action.group_type is GroupType.ANY:
-            parts: List[Tuple[int, CountSet]] = [(piece_mask, ())]
-            for member in action.group:
-                refined: List[Tuple[int, CountSet]] = []
-                for region_mask, cs in parts:
-                    for sub, cs_member in member_pieces(member, region_mask):
-                        refined.append((sub, union(cs, cs_member)))
-                parts = refined
-            return parts
-
-        parts = [(piece_mask, zero)]
-        for member in action.group:
-            refined = []
-            for region_mask, cs in parts:
-                for sub, cs_member in member_pieces(member, region_mask):
-                    refined.append((sub, cross_sum(cs, cs_member)))
-            parts = refined
-        return parts
 
     def _count_action(
         self,
@@ -622,61 +465,75 @@ class OnDeviceVerifier:
         action: Action,
         subscribes: List[Outgoing],
     ) -> List[Tuple[object, CountSet]]:
-        arity = self.arity
+        """Count one LEC piece (a word): seeds, then ⊕ (``ANY``) or ⊗
+        (``ALL``) over the group members' CIBIn results, refining the piece
+        along their boundaries."""
         st = self.state[node.node_id]
-
         accept = node.accept_in_scene(self.active_scene)
         if action.is_drop:
             base = self._base_vector(accept, EndKind.DROPPED)
             return [(piece, singleton(base))]
-
-        deliver_vec = self._base_vector(accept, EndKind.DELIVERED)
-        transform = action.transform
+        deliver_cs = singleton(self._base_vector(accept, EndKind.DELIVERED))
         zero = self._zero_cs
+        transform = action.transform
+        child_by_dev = self._child_by_dev[node.node_id]
+        cib_in = st.cib_in
 
         def member_pieces(member: str, region):
             if member == EXTERNAL:
-                return [(region, singleton(deliver_vec))]
-            child_id = self._child_by_dev[node.node_id].get(member)
+                return [(region, deliver_cs)]
+            child_id = child_by_dev.get(member)
             if child_id is None or not self._edge_alive(node, child_id, member):
                 return [(region, zero)]
+            cib = cib_in.get(child_id)
             if transform is not None:
-                target = self._transform_apply(transform, region)
-                self._maybe_subscribe(node, child_id, member, region, target, subscribes)
-            else:
-                target = region
-            cib = st.cib_in.get(child_id)
+                return self._through_transform(
+                    node, child_id, member, cib, transform, region, subscribes
+                )
             if cib is None:
-                parts = [(target, zero)]
-            else:
-                parts = cib.lookup_with_default(target, zero)
-            if transform is None:
-                return parts
-            mapped = []
-            for sub, cs in parts:
-                back = self._transform_preimage(transform, sub) & region
-                if not back.is_empty:
-                    mapped.append((back, cs))
-            return mapped
+                return [(region, zero)]
+            return cib.lookup_with_default(region, zero)
 
         if action.group_type is GroupType.ANY:
-            parts: List[Tuple[object, CountSet]] = [(piece, ())]
-            for member in action.group:
-                refined: List[Tuple[object, CountSet]] = []
-                for region, cs in parts:
-                    for sub, cs_member in member_pieces(member, region):
-                        refined.append((sub, union(cs, cs_member)))
-                parts = refined
-            return parts
-
-        parts = [(piece, singleton(zero_vec(arity)))]
+            combine, parts = union, [(piece, ())]
+        else:
+            combine, parts = cross_sum, [(piece, zero)]
         for member in action.group:
-            refined = []
+            refined: List[Tuple[object, CountSet]] = []
             for region, cs in parts:
                 for sub, cs_member in member_pieces(member, region):
-                    refined.append((sub, cross_sum(cs, cs_member)))
+                    refined.append((sub, combine(cs, cs_member)))
             parts = refined
         return parts
+
+    def _through_transform(
+        self, node: NodeTask, child_id: int, child_dev: str, cib,
+        transform, region, subscribes: List[Outgoing],
+    ) -> List[Tuple[object, CountSet]]:
+        """The child's results for ``region`` seen through a header rewrite:
+        look up the image, map each piece back.  The one escape from pure
+        word algebra — ``image``/``preimage`` round-trip through BDDs and
+        may refine the carrier, so ``region`` is re-resolved after each."""
+        carrier = self._carrier
+        resolve = carrier.resolve
+        zero = self._zero_cs
+        target = carrier.image(transform, region)
+        region = resolve(region)
+        self._maybe_subscribe(
+            node, child_id, child_dev, region, target, subscribes
+        )
+        if cib is None:
+            parts = [(target, zero)]
+        else:
+            parts = cib.lookup_with_default(target, zero)
+        mapped = []
+        for sub, cs in parts:
+            back = carrier.preimage(transform, sub)
+            region = resolve(region)
+            back = back & region
+            if back:
+                mapped.append((back, cs))
+        return mapped
 
     def _maybe_subscribe(
         self,
@@ -688,18 +545,20 @@ class OnDeviceVerifier:
         subscribes: List[Outgoing],
     ) -> None:
         st = self.state[node.node_id]
-        already = st.subscribed.get(child_id, self._space.empty)
-        if already.covers(target):
+        carrier = self._carrier
+        handle = st.subscribed.get(child_id)
+        already = carrier.empty if handle is None else carrier.word(handle)
+        if not (target & ~already):
             return
-        st.subscribed[child_id] = already | target
+        st.subscribed[child_id] = carrier.keep(already | target)
         self.stats.subscribes_sent += 1
         subscribes.append(
             (
                 child_dev,
                 SubscribeMessage(
                     intended_link=(node.node_id, child_id),
-                    pred_from=self._to_pred(region),
-                    pred_to=self._to_pred(target),
+                    pred_from=carrier.lower(region),
+                    pred_to=carrier.lower(target),
                 ),
             )
         )
@@ -714,20 +573,24 @@ class OnDeviceVerifier:
         precomputed: Optional[List[Tuple[object, CountSet]]] = None,
         force: bool = False,
     ) -> List[Outgoing]:
-        """Send UPDATEs upstream for the parts of ``region`` whose (reduced)
-        counting result actually changed."""
-        if self._use_atoms:
-            return self._announce_masks(node_id, region.mask(), force=force)
+        """Send UPDATEs upstream for the parts of the word ``region`` whose
+        (reduced) counting result actually changed.
+
+        Diffing against CIBOut, the Proposition-1 reduction and payload
+        carving all run on words; only the final wire conversion lowers
+        them to canonical predicates.
+        """
         node = self.nodes[node_id]
         if not node.upstream:
             return []
         st = self.state[node_id]
+        carrier = self._carrier
         if precomputed is None:
             current = st.loc_cib.lookup_with_default(region, self._zero_cs)
         else:
             current = precomputed
         reduce_ = self._reduce
-        reduced = [(pred, reduce_(cs)) for pred, cs in current]
+        reduced = [(piece, reduce_(cs)) for piece, cs in current]
         if force:
             changed = region
         else:
@@ -735,84 +598,24 @@ class OnDeviceVerifier:
             # receivers default missing CIBIn entries to zero, so suppressing
             # initial zero announcements keeps the protocol quiet and correct.
             zero_cs = reduce_(self._zero_cs)
-            changed = self._space.empty
-            for pred, cs in reduced:
-                for sub, old in st.cib_out.lookup_with_default(pred, None):
+            changed = carrier.empty
+            for piece, cs in reduced:
+                for sub, old in st.cib_out.lookup_with_default(piece, None):
                     effective_old = old if old is not None else zero_cs
                     if effective_old != cs:
                         changed = changed | sub
-        if changed.is_empty:
+        if not changed:
             return []
         payload: List[Tuple[object, CountSet]] = []
-        for pred, cs in reduced:
-            part = pred & changed
-            if not part.is_empty:
+        for piece, cs in reduced:
+            part = piece & changed
+            if part:
                 payload.append((part, cs))
         st.cib_out.assign(payload)
         # Boundary: the wire always carries canonical BDD predicates.
-        wire_withdrawn = self._to_pred(changed)
-        wire_results = tuple(
-            (self._to_pred(pred), cs) for pred, cs in payload
-        )
-        outgoing: List[Outgoing] = []
-        for parent in node.upstream:
-            message = UpdateMessage(
-                intended_link=(parent.node_id, node_id),
-                withdrawn=wire_withdrawn,
-                results=wire_results,
-            )
-            self.stats.updates_sent += 1
-            self.stats.bytes_sent += message.wire_size()
-            outgoing.append((parent.dev, message))
-        return outgoing
-
-    def _announce_masks(
-        self,
-        node_id: int,
-        region_mask: int,
-        precomputed: Optional[List[Tuple[int, CountSet]]] = None,
-        force: bool = False,
-    ) -> List[Outgoing]:
-        """:meth:`_announce_region` over raw masks (fused-path step 3).
-
-        Diffing against CIBOut, the Proposition-1 reduction and payload
-        carving all run on packed words; only the final wire conversion
-        touches BDDs, through the index's memoized ``mask_to_predicate``.
-        """
-        node = self.nodes[node_id]
-        if not node.upstream:
-            return []
-        st = self.state[node_id]
-        if precomputed is None:
-            current = st.loc_cib.lookup_masks_with_default(
-                region_mask, self._zero_cs
-            )
-        else:
-            current = precomputed
-        reduce_ = self._reduce
-        reduced = [(m, reduce_(cs)) for m, cs in current]
-        if force:
-            changed = region_mask
-        else:
-            zero_cs = reduce_(self._zero_cs)
-            changed = 0
-            for m, cs in reduced:
-                for sub, old in st.cib_out.lookup_masks_with_default(m, None):
-                    effective_old = old if old is not None else zero_cs
-                    if effective_old != cs:
-                        changed |= sub
-        if not changed:
-            return []
-        payload: List[Tuple[int, CountSet]] = []
-        for m, cs in reduced:
-            part = m & changed
-            if part:
-                payload.append((part, cs))
-        st.cib_out.assign_masks(payload)
-        # Boundary: the wire always carries canonical BDD predicates.
-        to_pred = self._index.mask_to_predicate
-        wire_withdrawn = to_pred(changed)
-        wire_results = tuple((to_pred(m), cs) for m, cs in payload)
+        lower = carrier.lower
+        wire_withdrawn = lower(changed)
+        wire_results = tuple((lower(part), cs) for part, cs in payload)
         outgoing: List[Outgoing] = []
         for parent in node.upstream:
             message = UpdateMessage(
@@ -831,32 +634,18 @@ class OnDeviceVerifier:
     def _update_verdict(self, node: NodeTask) -> None:
         assert node.is_source_for is not None
         st = self.state[node.node_id]
+        carrier = self._carrier
         bad_of = self._behavior_kernel.bad_of
+        lower = carrier.lower
         violations: List[Violation] = []
-        if self._use_atoms:
-            # Fused verdict: mask lookup + memoized compiled check; the
-            # packet space was atomized at init so this is a cache hit.
-            space_mask = self._index.atomize_mask(self.task.packet_space)
-            to_pred = self._index.mask_to_predicate
-            pieces_masks = st.loc_cib.lookup_masks_with_default(
-                space_mask, self._zero_cs
-            )
-            for m, cs in pieces_masks:
-                bad = bad_of(cs)
-                if bad:
-                    violations.append(
-                        Violation(node.is_source_for, to_pred(m), bad)
-                    )
-        else:
-            pieces = st.loc_cib.lookup_with_default(
-                self._to_region(self.task.packet_space), self._zero_cs
-            )
-            for region, cs in pieces:
-                bad = bad_of(cs)
-                if bad:
-                    violations.append(
-                        Violation(node.is_source_for, self._to_pred(region), bad)
-                    )
+        # The packet space was lifted at init, so this is a cache hit.
+        space = carrier.lift(self.task.packet_space)
+        for piece, cs in st.loc_cib.lookup_with_default(space, self._zero_cs):
+            bad = bad_of(cs)
+            if bad:
+                violations.append(
+                    Violation(node.is_source_for, lower(piece), bad)
+                )
         self.verdicts[node.is_source_for] = (not violations, violations)
         if self.tracer is not None:
             self.tracer.verdict(
@@ -909,27 +698,27 @@ class OnDeviceVerifier:
     # ------------------------------------------------------------------
     def memory_proxy(self) -> int:
         """A rough memory footprint: total BDD nodes referenced by CIBs."""
+        carrier = self._carrier
+        word, lower = carrier.word, carrier.lower
         total = 0
         for st in self.state.values():
-            for pred, _cs in st.loc_cib:
-                total += pred.size()
-            for cib in st.cib_in.values():
-                for pred, _cs in cib:
-                    total += pred.size()
+            for cib in (st.loc_cib, *st.cib_in.values()):
+                for handle, _cs in cib:
+                    total += lower(word(handle)).size()
         return total
 
     def source_counts(self, ingress: str):
         """Counting results at this device's source node for ``ingress``.
 
-        Pieces are returned as canonical Predicates regardless of the
-        internal representation, so parity fingerprints compare across
+        Pieces are returned as canonical Predicates whichever carrier the
+        verifier runs on, so parity fingerprints compare across
         predicate-index modes and backends.
         """
+        carrier = self._carrier
         for nid, node in self.nodes.items():
             if node.is_source_for == ingress:
                 pieces = self.state[nid].loc_cib.lookup_with_default(
-                    self._to_region(self.task.packet_space),
-                    singleton(zero_vec(self.arity)),
+                    carrier.lift(self.task.packet_space), self._zero_cs
                 )
-                return [(self._to_pred(pred), cs) for pred, cs in pieces]
+                return [(carrier.lower(piece), cs) for piece, cs in pieces]
         return None

@@ -15,11 +15,9 @@ from repro.dataplane.action import Action
 from repro.dataplane.lec import (
     LecDelta,
     LecTable,
-    compute_lec_table_with_effectives,
+    compute_lec_table,
     install_into_table,
-    install_into_table_atoms,
     remove_from_table,
-    remove_from_table_atoms,
 )
 from repro.dataplane.rule import Rule
 from repro.errors import DataPlaneError
@@ -35,58 +33,58 @@ class DevicePlane:
         self.ctx = ctx
         self._rules: Dict[int, Rule] = {}
         self._lec_cache: Optional[LecTable] = None
-        # Per-rule effective regions of the cached table (rule id -> the
-        # packets the rule wins).  Single-rule updates evolve the cached
-        # table through this map instead of rebuilding it from scratch.
-        self._effectives: Optional[Dict[int, Predicate]] = None
-        # Atoms mode (enable_atom_algebra): per-rule match/effective regions
-        # as AtomSets, so single-rule updates are frozenset algebra instead
-        # of one BDD conjunction per lower-priority rule.  The BDD
-        # ``_effectives`` map goes unmaintained once this is active (the
-        # atom path never reads it; the mode never flips back mid-run).
-        self._atom_index = None
-        self._match_atoms: Optional[Dict[int, object]] = None
-        self._eff_atoms: Optional[Dict[int, object]] = None
+        #: Region carrier the incremental LEC bookkeeping runs on.  A
+        #: standalone plane keeps the reference carrier; a network attaches
+        #: the one its verifiers use (:meth:`use_carrier`).
+        self.carrier = ctx.carrier("bdd")
+        # Per-rule match and effective regions of the cached table (rule id
+        # -> handle; effective = the packets the rule wins).  Single-rule
+        # updates evolve the cached table through these books instead of
+        # rebuilding it from scratch.
+        self._matches: Optional[Dict[int, object]] = None
+        self._effectives: Optional[Dict[int, object]] = None
         #: FIB epoch: bumped on every table mutation.  Verifiers key their
         #: per-interest forwarding-split memos on it.
         self.epoch = 0
 
-    def enable_atom_algebra(self, index) -> None:
-        """Run single-rule updates on atom-set algebra over ``index``.
+    def use_carrier(self, carrier) -> None:
+        """Run single-rule updates on ``carrier`` (idempotent).
 
-        Idempotent; flipped on by the network layers when the verifiers run
-        with ``predicate_index="atoms"``.  Tables and LEC deltas stay
-        byte-identical to the BDD path — only the internal bookkeeping
-        representation changes."""
-        if self._atom_index is index:
-            return
-        self._atom_index = index
-        self._match_atoms = None
-        self._eff_atoms = None
+        Tables and LEC deltas are byte-identical on every carrier — only
+        the internal bookkeeping representation changes."""
+        if carrier is not self.carrier:
+            self.carrier = carrier
+            self._matches = None
+            self._effectives = None
 
-    def _ensure_atom_effectives(self) -> None:
-        """Build the per-rule atom bookkeeping for the current table.
+    def _ensure_books(self) -> None:
+        """Build the per-rule bookkeeping for the current table.
 
-        One-time cost per device (then evolved incrementally): atomize every
-        match — cache-hit deduped across rules and devices sharing prefixes
-        — then derive effective regions by a first-match set-algebra sweep.
+        One-time cost per device (then evolved incrementally): lift every
+        match, then derive effective regions by a first-match sweep.
         """
-        if self._eff_atoms is not None:
+        if self._effectives is not None:
             return
-        index = self._atom_index
+        carrier = self.carrier
+        word, keep, lift = carrier.word, carrier.keep, carrier.lift
         rules = self.rules
-        # Two passes: atomizing any match may split atoms, so mask snapshots
-        # are taken only after every boundary is installed (AtomSets
-        # renormalize on read).
-        match_atoms = {rule.rule_id: index.atomize(rule.match) for rule in rules}
-        eff_atoms: Dict[int, object] = {}
-        covered = 0
+        # Two passes: lifting any match may refine the carrier, so words
+        # are read only after every boundary is installed.
+        matches = {rule.rule_id: keep(lift(rule.match)) for rule in rules}
+        effectives: Dict[int, object] = {}
+        covered = carrier.empty
         for rule in rules:
-            mask = match_atoms[rule.rule_id].mask()
-            eff_atoms[rule.rule_id] = index.from_mask(mask & ~covered)
-            covered |= mask
-        self._match_atoms = match_atoms
-        self._eff_atoms = eff_atoms
+            match = word(matches[rule.rule_id])
+            effectives[rule.rule_id] = keep(match & ~covered)
+            covered = covered | match
+        self._matches = matches
+        self._effectives = effectives
+
+    def _invalidate(self) -> None:
+        self._lec_cache = None
+        self._matches = None
+        self._effectives = None
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # Table manipulation
@@ -107,25 +105,19 @@ class DevicePlane:
         """Install a rule; return the LEC regions whose action changed.
 
         Incremental: the cached LEC table is evolved by redistributing the
-        new rule's effective region, costing BDD work proportional to the
+        new rule's effective region, costing work proportional to the
         affected packets rather than the whole rule table."""
         if rule.rule_id in self._rules:
             raise DataPlaneError(
                 f"rule {rule.rule_id} already installed on {self.name}"
             )
         old = self.lec_table()
-        if self._atom_index is not None:
-            self._ensure_atom_effectives()
-            self._rules[rule.rule_id] = rule
-            self._lec_cache, deltas = install_into_table_atoms(
-                self.ctx, self._atom_index, old,
-                self._match_atoms, self._eff_atoms, self.rules, rule,
-            )
-        else:
-            self._rules[rule.rule_id] = rule
-            self._lec_cache, deltas = install_into_table(
-                self.ctx, old, self._effectives, self.rules, rule
-            )
+        self._ensure_books()
+        self._rules[rule.rule_id] = rule
+        self._lec_cache, deltas = install_into_table(
+            self.carrier, old, self._matches, self._effectives,
+            self.rules, rule,
+        )
         self.epoch += 1
         return deltas
 
@@ -134,18 +126,12 @@ class DevicePlane:
         if rule_id not in self._rules:
             raise DataPlaneError(f"rule {rule_id} not installed on {self.name}")
         old = self.lec_table()
-        if self._atom_index is not None:
-            self._ensure_atom_effectives()
-            removed = self._rules.pop(rule_id)
-            self._lec_cache, deltas = remove_from_table_atoms(
-                self.ctx, self._atom_index, old,
-                self._match_atoms, self._eff_atoms, self.rules, removed,
-            )
-        else:
-            removed = self._rules.pop(rule_id)
-            self._lec_cache, deltas = remove_from_table(
-                self.ctx, old, self._effectives, self.rules, removed
-            )
+        self._ensure_books()
+        removed = self._rules.pop(rule_id)
+        self._lec_cache, deltas = remove_from_table(
+            self.carrier, old, self._matches, self._effectives,
+            self.rules, removed,
+        )
         self.epoch += 1
         return deltas
 
@@ -165,11 +151,7 @@ class DevicePlane:
         if rule_id not in self._rules:
             raise DataPlaneError(f"rule {rule_id} not installed on {self.name}")
         del self._rules[rule_id]
-        self._lec_cache = None
-        self._effectives = None
-        self._match_atoms = None
-        self._eff_atoms = None
-        self.epoch += 1
+        self._invalidate()
 
     def install_many(self, rules: Sequence[Rule]) -> None:
         """Bulk install without delta computation (burst-update fast path)."""
@@ -179,37 +161,23 @@ class DevicePlane:
                     f"rule {rule.rule_id} already installed on {self.name}"
                 )
             self._rules[rule.rule_id] = rule
-        self._lec_cache = None
-        self._effectives = None
-        self._match_atoms = None
-        self._eff_atoms = None
-        self.epoch += 1
+        self._invalidate()
 
     def clear(self) -> None:
         self._rules.clear()
-        self._lec_cache = None
-        self._effectives = None
-        self._match_atoms = None
-        self._eff_atoms = None
-        self.epoch += 1
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Forwarding queries
     # ------------------------------------------------------------------
     def lec_table(self) -> LecTable:
         if self._lec_cache is None:
-            self._lec_cache, self._effectives = (
-                compute_lec_table_with_effectives(self.ctx, self.rules)
-            )
+            self._lec_cache = compute_lec_table(self.ctx, self.rules)
         return self._lec_cache
 
     def fwd(self, pred: Predicate) -> List[Tuple[Predicate, Action]]:
         """Split a packet set along LEC boundaries into (piece, action)."""
         return self.lec_table().action_of(pred)
-
-    def fwd_atoms(self, region) -> List[Tuple[object, Action]]:
-        """Atom-set twin of :meth:`fwd` (same split, integer-set algebra)."""
-        return self.lec_table().action_of_atoms(region)
 
     def fwd_packet(self, packet: Dict[str, int]) -> Action:
         """Action applied to one concrete packet (reference semantics)."""

@@ -10,7 +10,7 @@ propagates on rule updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.bdd.manager import FALSE
 from repro.bdd.predicate import PacketSpaceContext, Predicate
@@ -21,12 +21,9 @@ __all__ = [
     "LecTable",
     "LecDelta",
     "compute_lec_table",
-    "compute_lec_table_with_effectives",
     "diff_lec_tables",
     "install_into_table",
-    "install_into_table_atoms",
     "remove_from_table",
-    "remove_from_table_atoms",
 ]
 
 
@@ -51,8 +48,10 @@ class LecTable:
         self._entries = {
             action: pred for action, pred in entries.items() if not pred.is_empty
         }
-        # (AtomIndex, [(AtomSet, Action)]) — atomized view, built on demand.
-        self._atom_cache = None
+        # carrier -> [(handle, Action)]: the partition in a carrier's own
+        # representation, built on demand (or seeded by an incremental
+        # update) in entry order.
+        self._handles: Dict[object, List[Tuple[object, Action]]] = {}
 
     # ------------------------------------------------------------------
     def actions(self) -> List[Action]:
@@ -64,63 +63,47 @@ class LecTable:
     def predicate_for(self, action: Action) -> Predicate:
         return self._entries.get(action, self.ctx.empty)
 
-    def action_of(self, pred: Predicate) -> List[Tuple[Predicate, Action]]:
-        """Split ``pred`` along LEC boundaries: disjoint (piece, action) pairs
-        covering all of ``pred``."""
-        pieces: List[Tuple[Predicate, Action]] = []
-        remaining = pred
-        for action, lec_pred in self._entries.items():
-            if remaining.is_empty:
+    def handles(self, carrier) -> List[Tuple[object, Action]]:
+        """The LEC partition as ``(handle, Action)`` pairs of ``carrier``.
+
+        Lifting a LEC table is what *installs* its class boundaries into
+        the carrier (for the mask carrier: refines the shared atom index),
+        so callers force this before they read the words they will split
+        against it.  Cached per table (tables are immutable).
+        """
+        cached = self._handles.get(carrier)
+        if cached is None:
+            lift, keep = carrier.lift, carrier.keep
+            cached = self._handles[carrier] = [
+                (keep(lift(pred)), action)
+                for action, pred in self._entries.items()
+            ]
+        return cached
+
+    def split(self, carrier, region) -> List[Tuple[object, Action]]:
+        """Split a word of ``carrier`` along LEC boundaries: disjoint
+        ``(piece, action)`` pairs covering all of ``region``, in entry order
+        (the order everything downstream — counting, announcing, wire bytes
+        — inherits)."""
+        pieces: List[Tuple[object, Action]] = []
+        remaining = region
+        word = carrier.word
+        for handle, action in self.handles(carrier):
+            if not remaining:
                 break
-            piece = remaining & lec_pred
-            if not piece.is_empty:
+            piece = remaining & word(handle)
+            if piece:
                 pieces.append((piece, action))
-                # Diff against the piece (remaining ∩ lec), not the whole
-                # LEC: same result, smaller operand, and when the LEC
-                # swallows everything left this hits the f == g shortcut.
-                remaining = remaining - piece
-        if not remaining.is_empty:
+                remaining = remaining & ~piece
+        if remaining:
             # Every packet is in some LEC (drop is explicit); reaching here
             # means the table was built incorrectly.
             pieces.append((remaining, Action.drop()))
         return pieces
 
-    def atom_entries(self, index) -> List[Tuple[object, Action]]:
-        """The LEC partition as ``(AtomSet, Action)`` pairs, same order as
-        :meth:`action_of` iterates.
-
-        Atomizing a LEC table is what *installs* its class boundaries into
-        the shared index; afterwards every region split against this table
-        is pure integer-set work.  Cached per table (tables are immutable);
-        AtomSets renormalize themselves if later tables refine the atoms.
-        """
-        cached = self._atom_cache
-        if cached is not None and cached[0] is index:
-            return cached[1]
-        entries = [
-            (index.atomize(pred), action)
-            for action, pred in self._entries.items()
-        ]
-        self._atom_cache = (index, entries)
-        return entries
-
-    def action_of_atoms(self, region) -> List[Tuple[object, Action]]:
-        """Atom-set twin of :meth:`action_of`: split an :class:`AtomSet`
-        along LEC boundaries.  Same iteration order, so the resulting piece
-        list (and everything downstream — counting, announcing, verdicts)
-        matches the BDD path entry for entry."""
-        pieces: List[Tuple[object, Action]] = []
-        remaining = region
-        for lec_aset, action in self.atom_entries(region.index):
-            if remaining.is_empty:
-                break
-            piece = remaining & lec_aset
-            if not piece.is_empty:
-                pieces.append((piece, action))
-                remaining = remaining - piece
-        if not remaining.is_empty:
-            pieces.append((remaining, Action.drop()))
-        return pieces
+    def action_of(self, pred: Predicate) -> List[Tuple[Predicate, Action]]:
+        """:meth:`split` for callers that speak canonical predicates."""
+        return self.split(self.ctx.carrier("bdd"), pred)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,23 +116,7 @@ def compute_lec_table(
     ctx: PacketSpaceContext, rules: Sequence[Rule]
 ) -> LecTable:
     """Build the minimal LEC partition from a prioritized rule list."""
-    return compute_lec_table_with_effectives(ctx, rules)[0]
-
-
-def compute_lec_table_with_effectives(
-    ctx: PacketSpaceContext, rules: Sequence[Rule]
-) -> Tuple[LecTable, Dict[int, Predicate]]:
-    """Full LEC build that also returns each rule's *effective region* —
-    the packets it actually wins under first-match — keyed by rule id.
-
-    The effective map is what makes single-rule updates incremental
-    (:func:`install_into_table` / :func:`remove_from_table`): an update
-    only ever redistributes the effective region of the touched rule, so
-    per-update cost scales with that region instead of the whole table.
-    Rules shadowed into emptiness simply have no entry.
-    """
     entries: Dict[Action, int] = {}
-    effectives: Dict[int, Predicate] = {}
     mgr = ctx.mgr
     remaining = ctx.universe.node
     for rule in sorted(rules, key=Rule.sort_key):
@@ -163,325 +130,179 @@ def compute_lec_table_with_effectives(
         remaining = mgr.apply_diff(remaining, effective)
         prior = entries.get(rule.action, 0)
         entries[rule.action] = mgr.apply_or(prior, effective)
-        effectives[rule.rule_id] = ctx.wrap(effective)
     if remaining != 0:
         drop = Action.drop()
         entries[drop] = mgr.apply_or(entries.get(drop, 0), remaining)
-    table = LecTable(
+    return LecTable(
         ctx, {action: ctx.wrap(node) for action, node in entries.items()}
     )
-    return table, effectives
 
 
 def _rebuild_with_moves(
-    ctx: PacketSpaceContext,
+    carrier,
     table: LecTable,
-    moves: Dict[Tuple[Action, Action], int],
+    moves: Dict[Tuple[Action, Action], object],
 ) -> Tuple[LecTable, List[LecDelta]]:
     """New table (and deltas) from moving disjoint regions between actions.
 
-    ``moves`` maps ``(old_action, new_action)`` to the region node changing
-    hands.  Entry insertion order is preserved (appended actions go last),
-    which keeps :meth:`LecTable.action_of` piece order — and therefore DVM
-    wire bytes — deterministic.  When the old table carries an atomized
-    view, the new one is seeded from it by the same moves, so atoms mode
-    never re-atomizes a whole table after an incremental update.
+    ``moves`` maps ``(old_action, new_action)`` to the word changing hands.
+    Each is lowered once — ROBDDs are canonical, so the delta predicates
+    and the new table's entries are byte-identical whichever carrier
+    computed the move.  Entry insertion order is preserved (appended
+    actions go last), which keeps :meth:`LecTable.split` piece order — and
+    therefore DVM wire bytes — deterministic.  The new table's view in
+    ``carrier`` is seeded from the old one by the same moves, so an
+    incremental update never re-lifts a whole table.
     """
+    ctx = table.ctx
     mgr = ctx.mgr
     entries: Dict[Action, int] = {
         action: pred.node for action, pred in table._entries.items()
     }
     deltas: List[LecDelta] = []
-    region_preds: Dict[Tuple[Action, Action], Predicate] = {}
-    for (old_action, new_action), node in moves.items():
-        entries[old_action] = mgr.apply_diff(entries[old_action], node)
-        entries[new_action] = mgr.apply_or(entries.get(new_action, FALSE), node)
-        pred = ctx.wrap(node)
-        region_preds[(old_action, new_action)] = pred
+    for (old_action, new_action), piece in moves.items():
+        pred = carrier.lower(piece)
+        entries[old_action] = mgr.apply_diff(entries[old_action], pred.node)
+        entries[new_action] = mgr.apply_or(
+            entries.get(new_action, FALSE), pred.node
+        )
         deltas.append(LecDelta(pred, old_action, new_action))
     new_table = LecTable(
         ctx, {action: ctx.wrap(node) for action, node in entries.items()}
     )
-    cache = table._atom_cache
-    if cache is not None:
-        index = cache[0]
-        atom_map = {action: aset for aset, action in cache[1]}
-        for (old_action, new_action), pred in region_preds.items():
-            piece = index.atomize(pred)
-            atom_map[old_action] = atom_map[old_action] - piece
-            prior = atom_map.get(new_action, index.empty)
-            atom_map[new_action] = prior | piece
-        new_table._atom_cache = (
-            index,
-            [(atom_map[action], action) for action in new_table._entries],
-        )
+    view = table._handles.get(carrier)
+    if view is not None:
+        word, keep = carrier.word, carrier.keep
+        words = {action: word(handle) for handle, action in view}
+        for (old_action, new_action), piece in moves.items():
+            words[old_action] = words[old_action] & ~piece
+            words[new_action] = words.get(new_action, carrier.empty) | piece
+        new_table._handles[carrier] = [
+            (keep(words[action]), action) for action in new_table._entries
+        ]
     return new_table, deltas
 
 
 def install_into_table(
-    ctx: PacketSpaceContext,
+    carrier,
     table: LecTable,
-    effectives: Dict[int, Predicate],
+    matches: Dict[int, object],
+    effectives: Dict[int, object],
     sorted_rules: Sequence[Rule],
     rule: Rule,
 ) -> Tuple[LecTable, List[LecDelta]]:
     """Incremental LEC update for one rule install.
 
     ``sorted_rules`` is the post-install first-match order (containing
-    ``rule``); ``effectives`` (mutated in place) is the per-rule effective
-    map of ``table``.  The new rule's effective region is its match minus
-    everything higher-priority rules cover; that region is then taken from
-    the lower rules (in first-match order) that owned it, which yields the
-    deltas directly — no table-vs-table diff.
+    ``rule``); ``matches`` / ``effectives`` (both mutated in place) hold
+    each rule's match and *effective region* — the packets it actually wins
+    under first-match — as handles of ``carrier``.  The new rule's
+    effective region is its match minus everything higher-priority rules
+    win; that region is then taken from the lower rules (in first-match
+    order) that owned it, which yields the deltas directly — no
+    table-vs-table diff, and cost that scales with the touched region
+    instead of the whole table.
     """
-    mgr = ctx.mgr
+    word, keep = carrier.word, carrier.keep
+    # Lift FIRST: it may refine the carrier, and every handle read below
+    # is then current; nothing after this point refines again.
+    effective = carrier.lift(rule.match)
+    matches[rule.rule_id] = keep(effective)
     position = next(
         i for i, r in enumerate(sorted_rules) if r.rule_id == rule.rule_id
     )
-    effective = rule.match.node
     for higher in sorted_rules[:position]:
-        if effective == FALSE:
+        if not effective:
             break
-        effective = mgr.apply_diff(effective, higher.match.node)
-    effectives[rule.rule_id] = ctx.wrap(effective)
-    if effective == FALSE:
+        prev = effectives.get(higher.rule_id)
+        if prev is None:
+            continue
+        effective = effective & ~word(prev)
+    effectives[rule.rule_id] = keep(effective)
+    if not effective:
         return table, []  # fully shadowed: behaviour unchanged
-    moves: Dict[Tuple[Action, Action], int] = {}
+    empty = carrier.empty
+    moves: Dict[Tuple[Action, Action], object] = {}
 
-    def take(node: int, old_action: Action) -> None:
+    def take(piece, old_action: Action) -> None:
         if old_action == rule.action:
             return  # same behaviour: no class boundary moves
         key = (old_action, rule.action)
-        moves[key] = mgr.apply_or(moves.get(key, FALSE), node)
+        moves[key] = moves.get(key, empty) | piece
 
     remaining = effective
     for lower in sorted_rules[position + 1 :]:
-        if remaining == FALSE:
+        if not remaining:
             break
         prev = effectives.get(lower.rule_id)
-        if prev is None or prev.node == FALSE:
+        if prev is None:
             continue
-        piece = mgr.apply_and(remaining, prev.node)
-        if piece == FALSE:
+        prev_word = word(prev)
+        piece = remaining & prev_word
+        if not piece:
             continue
-        remaining = mgr.apply_diff(remaining, piece)
-        effectives[lower.rule_id] = ctx.wrap(mgr.apply_diff(prev.node, piece))
+        remaining = remaining & ~piece
+        effectives[lower.rule_id] = keep(prev_word & ~piece)
         take(piece, lower.action)
-    if remaining != FALSE:
+    if remaining:
         # Packets no rule owned fell through to the implicit drop class.
         take(remaining, Action.drop())
     if not moves:
         return table, []
-    return _rebuild_with_moves(ctx, table, moves)
+    return _rebuild_with_moves(carrier, table, moves)
 
 
 def remove_from_table(
-    ctx: PacketSpaceContext,
+    carrier,
     table: LecTable,
-    effectives: Dict[int, Predicate],
+    matches: Dict[int, object],
+    effectives: Dict[int, object],
     sorted_rules: Sequence[Rule],
     removed: Rule,
 ) -> Tuple[LecTable, List[LecDelta]]:
     """Incremental LEC update for one rule removal (inverse of
     :func:`install_into_table`); ``sorted_rules`` is the post-removal
     order.  The removed rule's effective region falls through to the
-    remaining lower rules by first-match."""
-    mgr = ctx.mgr
-    eff = effectives.pop(removed.rule_id, None)
-    if eff is None or eff.node == FALSE:
-        return table, []  # the rule never won any packets
-    removed_key = removed.sort_key()
-    moves: Dict[Tuple[Action, Action], int] = {}
-
-    def give(node: int, new_action: Action) -> None:
-        if new_action == removed.action:
-            return
-        key = (removed.action, new_action)
-        moves[key] = mgr.apply_or(moves.get(key, FALSE), node)
-
-    remaining = eff.node
-    for lower in sorted_rules:
-        if lower.sort_key() < removed_key:
-            continue  # higher priority: never matched these packets
-        if remaining == FALSE:
-            break
-        piece = mgr.apply_and(remaining, lower.match.node)
-        if piece == FALSE:
-            continue
-        remaining = mgr.apply_diff(remaining, piece)
-        prev = effectives.get(lower.rule_id)
-        prev_node = FALSE if prev is None else prev.node
-        effectives[lower.rule_id] = ctx.wrap(mgr.apply_or(prev_node, piece))
-        give(piece, lower.action)
-    if remaining != FALSE:
-        give(remaining, Action.drop())
-    if not moves:
-        return table, []
-    return _rebuild_with_moves(ctx, table, moves)
-
-
-def _rebuild_with_moves_atoms(
-    ctx: PacketSpaceContext,
-    index,
-    table: LecTable,
-    moves: Dict[Tuple[Action, Action], int],
-) -> Tuple[LecTable, List[LecDelta]]:
-    """Atom-set twin of :func:`_rebuild_with_moves`.
-
-    ``moves`` carries packed leaf-slot masks instead of BDD nodes.  Each
-    region is converted once through the index's memoized
-    ``mask_to_predicate`` — ROBDDs are canonical, so the delta predicates
-    (and the new table's entries) are byte-identical to what the BDD path
-    would have produced for the same update.  The new table's atomized view
-    is seeded by pure set algebra, with no re-atomization."""
-    mgr = ctx.mgr
-    entries: Dict[Action, int] = {
-        action: pred.node for action, pred in table._entries.items()
-    }
-    deltas: List[LecDelta] = []
-    move_sets: Dict[Tuple[Action, Action], object] = {}
-    for (old_action, new_action), mask in moves.items():
-        aset = index.from_mask(mask)
-        pred = index.mask_to_predicate(mask)
-        entries[old_action] = mgr.apply_diff(entries[old_action], pred.node)
-        entries[new_action] = mgr.apply_or(
-            entries.get(new_action, FALSE), pred.node
-        )
-        move_sets[(old_action, new_action)] = aset
-        deltas.append(LecDelta(pred, old_action, new_action))
-    new_table = LecTable(
-        ctx, {action: ctx.wrap(node) for action, node in entries.items()}
-    )
-    cache = table._atom_cache
-    if cache is not None and cache[0] is index:
-        atom_map = {action: aset for aset, action in cache[1]}
-        for (old_action, new_action), piece in move_sets.items():
-            atom_map[old_action] = atom_map[old_action] - piece
-            prior = atom_map.get(new_action, index.empty)
-            atom_map[new_action] = prior | piece
-        new_table._atom_cache = (
-            index,
-            [(atom_map[action], action) for action in new_table._entries],
-        )
-    return new_table, deltas
-
-
-def install_into_table_atoms(
-    ctx: PacketSpaceContext,
-    index,
-    table: LecTable,
-    match_atoms: Dict[int, object],
-    eff_atoms: Dict[int, object],
-    sorted_rules: Sequence[Rule],
-    rule: Rule,
-) -> Tuple[LecTable, List[LecDelta]]:
-    """Atom-algebra twin of :func:`install_into_table`.
-
-    ``match_atoms`` / ``eff_atoms`` (both mutated in place) hold each rule's
-    match and effective region as an :class:`AtomSet`.  The only BDD work is
-    atomizing the new rule's match — one refinement walk, a cache hit
-    whenever the same match predicate was seen before (route refreshes,
-    re-points of an existing rule) — and the boundary conversion of the few
-    moved regions; the priority scans are single-int mask AND/ANDNOTs.
+    remaining lower rules by first-match.  Removal introduces no new
+    boundaries (the match was lifted at install), so nothing here refines.
     """
-    # Atomize FIRST: the walk may split atoms, and every stored AtomSet
-    # renormalizes itself when read afterwards.  Raw mask snapshots below
-    # are safe because nothing after this point refines the forest.
-    match_aset = index.atomize(rule.match)
-    match_atoms[rule.rule_id] = match_aset
-    position = next(
-        i for i, r in enumerate(sorted_rules) if r.rule_id == rule.rule_id
-    )
-    effective = match_aset.mask()
-    for higher in sorted_rules[:position]:
-        if not effective:
-            break
-        prev = eff_atoms.get(higher.rule_id)
-        if prev is None:
-            continue
-        effective &= ~prev.mask()
-    eff_atoms[rule.rule_id] = index.from_mask(effective)
-    if not effective:
-        return table, []  # fully shadowed: behaviour unchanged
-    moves: Dict[Tuple[Action, Action], int] = {}
-
-    def take(mask: int, old_action: Action) -> None:
-        if old_action == rule.action:
-            return  # same behaviour: no class boundary moves
-        key = (old_action, rule.action)
-        moves[key] = moves.get(key, 0) | mask
-
-    remaining = effective
-    for lower in sorted_rules[position + 1 :]:
-        if not remaining:
-            break
-        prev = eff_atoms.get(lower.rule_id)
-        if prev is None or prev.is_empty:
-            continue
-        prev_mask = prev.mask()
-        piece = remaining & prev_mask
-        if not piece:
-            continue
-        remaining &= ~piece
-        eff_atoms[lower.rule_id] = index.from_mask(prev_mask & ~piece)
-        take(piece, lower.action)
-    if remaining:
-        # Packets no rule owned fell through to the implicit drop class.
-        take(remaining, Action.drop())
-    if not moves:
-        return table, []
-    return _rebuild_with_moves_atoms(ctx, index, table, moves)
-
-
-def remove_from_table_atoms(
-    ctx: PacketSpaceContext,
-    index,
-    table: LecTable,
-    match_atoms: Dict[int, object],
-    eff_atoms: Dict[int, object],
-    sorted_rules: Sequence[Rule],
-    removed: Rule,
-) -> Tuple[LecTable, List[LecDelta]]:
-    """Atom-algebra twin of :func:`remove_from_table`.
-
-    Removal introduces no new boundaries (the match was atomized at
-    install), so this is pure set algebra plus the boundary conversion of
-    the moved regions."""
-    eff = eff_atoms.pop(removed.rule_id, None)
-    match_atoms.pop(removed.rule_id, None)
-    if eff is None or eff.is_empty:
+    word, keep = carrier.word, carrier.keep
+    eff = effectives.pop(removed.rule_id, None)
+    matches.pop(removed.rule_id, None)
+    remaining = carrier.empty if eff is None else word(eff)
+    if not remaining:
         return table, []  # the rule never won any packets
     removed_key = removed.sort_key()
-    moves: Dict[Tuple[Action, Action], int] = {}
+    empty = carrier.empty
+    moves: Dict[Tuple[Action, Action], object] = {}
 
-    def give(mask: int, new_action: Action) -> None:
+    def give(piece, new_action: Action) -> None:
         if new_action == removed.action:
             return
         key = (removed.action, new_action)
-        moves[key] = moves.get(key, 0) | mask
+        moves[key] = moves.get(key, empty) | piece
 
-    remaining = eff.mask()
     for lower in sorted_rules:
         if lower.sort_key() < removed_key:
             continue  # higher priority: never matched these packets
         if not remaining:
             break
-        match = match_atoms.get(lower.rule_id)
+        match = matches.get(lower.rule_id)
         if match is None:
             continue
-        piece = remaining & match.mask()
+        piece = remaining & word(match)
         if not piece:
             continue
-        remaining &= ~piece
-        prev = eff_atoms.get(lower.rule_id)
-        prev_mask = 0 if prev is None else prev.mask()
-        eff_atoms[lower.rule_id] = index.from_mask(prev_mask | piece)
+        remaining = remaining & ~piece
+        prev = effectives.get(lower.rule_id)
+        prev_word = empty if prev is None else word(prev)
+        effectives[lower.rule_id] = keep(prev_word | piece)
         give(piece, lower.action)
     if remaining:
         give(remaining, Action.drop())
     if not moves:
         return table, []
-    return _rebuild_with_moves_atoms(ctx, index, table, moves)
+    return _rebuild_with_moves(carrier, table, moves)
 
 
 def diff_lec_tables(old: LecTable, new: LecTable) -> List[LecDelta]:

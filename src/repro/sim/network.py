@@ -143,8 +143,9 @@ class SimNetwork:
         verifiers sweep at event-handler boundaries once the shared table
         crosses this many nodes (``None`` keeps GC off).
 
-        ``predicate_index`` selects the verifiers' region representation:
-        ``"atoms"`` (default, shared dynamic atom index) or ``"bdd"`` (raw
+        ``predicate_index`` selects the region carrier of the verifiers
+        and planes: ``"atoms"`` (default: packed masks over the shared
+        dynamic atom index) or ``"bdd"`` (the oracle: the same code on raw
         predicates).  Verdicts and wire bytes are identical either way.
 
         ``chaos`` (or an explicit ``channel``) switches DVM messaging onto
@@ -214,15 +215,14 @@ class SimNetwork:
                 self, channel, transport_config or TransportConfig()
             )
 
+        carrier = ctx.carrier(predicate_index)
         for name in topology.devices:
             plane = planes.get(name)
             if plane is None:
                 plane = DevicePlane(name, ctx)
-            if predicate_index == "atoms":
-                # Single-rule updates on this plane run on atom-set algebra
-                # over the same shared index the verifiers use (the LEC
-                # deltas they produce are byte-identical to the BDD path).
-                plane.enable_atom_algebra(ctx.atom_index())
+            # Single-rule updates on this plane run on the same carrier the
+            # verifiers use (LEC deltas are byte-identical on either).
+            plane.use_carrier(carrier)
             device = SimDevice(name, plane, self)
             for task_set in self.task_sets:
                 device.add_task(task_set)

@@ -105,10 +105,11 @@ class TulkunRunner:
         (the shared serial manager, or every worker's private copy) sweeps
         when its node table crosses this size.  ``None`` disables GC.
 
-        ``predicate_index`` selects the verifiers' internal region algebra:
-        ``"atoms"`` (default) keeps CIB/interest bookkeeping as integer atom
-        sets over a shared dynamic atom index; ``"bdd"`` uses raw predicates.
-        Verdicts and wire bytes are identical in both modes.
+        ``predicate_index`` selects the carrier the verifiers' region
+        algebra runs on: ``"atoms"`` (default, production) keeps
+        CIB/interest bookkeeping as packed integer masks over a shared
+        dynamic atom index; ``"bdd"`` runs the same code on raw predicates
+        as the parity oracle.  Verdicts and wire bytes are identical.
 
         ``chaos`` arms fault injection on the DVM transport (serial backend
         only): messages ride a seeded unreliable channel with seq/ack

@@ -36,6 +36,10 @@ from tests.conftest import build_linear_fig2_planes, random_dataplane
 pytestmark = pytest.mark.scenario
 
 SEEDS = (11, 23, 47)
+# Seeds whose random plane + family yield safe scenarios next to failing
+# ones (most random planes are buggy, so most families have no safe
+# scenario at all): 14 of 16, 4 of 10 and 10 of 14 scenarios are safe.
+SAFE_SEEDS = (5, 8, 47)
 
 
 def linear_harness(predicate_index="atoms"):
@@ -147,15 +151,17 @@ def test_counterexamples_revalidate_under_replay(seed):
         assert len(cex.trace.script) == len(cex.steps)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", SAFE_SEEDS)
 def test_safe_scenarios_are_safe_in_both_index_modes(seed):
     family = random_family(seed)
     report = explore_family(
         family, random_harness(seed), minimize=False, max_counterexamples=0
     )
     safe = [r for r in report.results if not r.failing]
-    if not safe:
-        pytest.skip(f"seed {seed}: family has no safe scenario")
+    assert safe, (
+        f"seed {seed}: family has no safe scenario, so this test checks "
+        "nothing — pick a seed that has one"
+    )
     for result in safe[:6]:  # bound the re-run cost per seed
         outcomes = {}
         for mode in ("atoms", "bdd"):

@@ -14,11 +14,13 @@ import random
 import pytest
 
 from repro.bdd import PacketSpaceContext
+from repro.core.counting import CountExp
+from repro.core.invariant import Atom, Invariant, MatchKind, PathExpr
 from repro.core.library import reachability, waypoint_reachability
-from repro.dataplane import Action, Rule
+from repro.dataplane import Action, Rule, Transform
 from repro.datasets import build_dataset
 from repro.sim import TulkunRunner, apply_intents, random_update_intents
-from repro.topology import fig2a_example
+from repro.topology import Topology, fig2a_example
 from tests.conftest import build_fig2_planes
 from tests.test_parallel_backend import (
     serial_fingerprints,
@@ -95,6 +97,87 @@ class TestFig2aParity:
         assert flags_a == flags_b
         assert viol_a == viol_b
         assert prints_a == prints_b
+
+
+def transform_outcome(predicate_index):
+    """A rewrite chain S → N → M → D: burst, a transform rule installed
+    after convergence (the SUBSCRIBE path), then one link flap.
+
+    Transforms are the one place the verifier text leaves pure word algebra
+    (image/preimage round-trip through BDDs and refine the atom index
+    mid-handler), so this is the path where a missed ``resolve`` would show
+    as a verdict or region difference between the carriers.
+    """
+    ctx = PacketSpaceContext()
+    topology = Topology("nat-chain")
+    for a, b in (("S", "N"), ("N", "M"), ("M", "D")):
+        topology.add_link(a, b)
+    space = ctx.range_("dst_port", 80, 83)
+    p80, p81 = ctx.value("dst_port", 80), ctx.value("dst_port", 81)
+    p8080, p9090 = ctx.value("dst_port", 8080), ctx.value("dst_port", 9090)
+    to_8080 = Transform.set_fields(dst_port=8080)
+    to_9090 = Transform.set_fields(dst_port=9090)
+    rules = {
+        "S": [Rule(space, Action.forward_all(["N"]), 1)],
+        # Port 80 is rewritten, 81-83 pass through unchanged.
+        "N": [
+            Rule(p80, Action.forward_all(["M"], transform=to_8080), 2),
+            Rule(space, Action.forward_all(["M"]), 1),
+        ],
+        # M forwards only 81 at first: rewritten traffic dies here.
+        "M": [Rule(p81, Action.forward_all(["D"]), 1)],
+        "D": [Rule(p81, Action.deliver(), 1), Rule(p9090, Action.deliver(), 1)],
+    }
+    invariant = Invariant(
+        space, ("S",),
+        Atom(PathExpr.parse("S N M D"), MatchKind.EXIST, CountExp(">=", 1)),
+        name="nat",
+    )
+    runner = TulkunRunner(
+        topology, ctx, [invariant],
+        gc_threshold=GC_THRESHOLD, predicate_index=predicate_index,
+    )
+
+    def checkpoint():
+        return (
+            verdict_flags(runner.network, [invariant]),
+            violation_fingerprints(runner.network, [invariant]),
+            serial_fingerprints(runner),
+        )
+
+    result = runner.burst_update(rules)
+    checkpoints = [result.holds, checkpoint()]
+    # The second rewrite appears after convergence: M must SUBSCRIBE to D
+    # for the 9090 image, N's 8080 subscription at M starts to matter.
+    runner.incremental_updates(
+        [("M", Rule(p8080, Action.forward_all(["D"], transform=to_9090), 2), None)]
+    )
+    checkpoints.append(checkpoint())
+    runner.fail_links([("N", "M")])
+    checkpoints.append(checkpoint())
+    runner.recover_links([("N", "M")])
+    checkpoints.append(checkpoint())
+    subscribes = sum(
+        verifier.stats.subscribes_sent
+        for device in runner.network.devices.values()
+        for verifier in device.verifiers.values()
+    )
+    return checkpoints, subscribes, ctx.mgr.stats.gc_runs
+
+
+class TestTransformParity:
+    def test_transform_chain_byte_identical(self):
+        atoms, subs_a, gc_a = transform_outcome("atoms")
+        bdd, subs_b, gc_b = transform_outcome("bdd")
+        assert gc_a > 0 and gc_b > 0, "GC never armed: parity gate is void"
+        assert subs_a > 0 and subs_b > 0, "no SUBSCRIBE sent: no transform ran"
+        assert atoms == bdd
+        # The scenario means something: port 80 reaches D only once both
+        # rewrites exist and the link is up; 82-83 never do.
+        flags = [flags for flags, _viol, _prints in atoms[1:]]
+        assert all(not f["nat"]["S"] for f in flags)
+        regions = [len(viol[("nat", "S")]) for _f, viol, _p in atoms[1:]]
+        assert all(regions)
 
 
 class TestBitsetAlgebraProperty:
