@@ -28,10 +28,12 @@ runs the same text on canonical :class:`Predicate`s as the oracle the parity
 suites compare against.  One rule keeps raw words sound: they never outlive
 a handler (anything stored — CIB entries, interests, subscriptions — is a
 carrier handle, ``keep``/``word``) and they are ``resolve``d after anything
-that may refine the carrier (``lift``, ``image``, ``preimage``, forcing a
-LEC table's handles).  The *wire* is carrier-independent: messages,
+that may refine the carrier (``lift``, ``image``, ``preimage``, a
+from-scratch LEC table build).  The *wire* is carrier-independent: messages,
 verdicts and violations always carry canonical BDD predicates, converted
-(``lift``/``lower``) at the handler boundaries.
+(``lift``/``lower``) at the handler boundaries.  The local data plane is not
+a boundary: a counting verifier attaches its carrier to the plane, and reads
+the LEC table and its deltas as that carrier's handles.
 """
 
 from __future__ import annotations
@@ -109,11 +111,16 @@ class OnDeviceVerifier:
         self.arity = len(task.atoms)
         self.is_local_check = task.atoms[0].kind is MatchKind.EQUAL
         # The one place the representation is chosen.  ``equal``-operator
-        # local contracts never touch region algebra, so they take the
-        # reference carrier and refine no atom index.
-        carrier = self.ctx.carrier(predicate_index)
+        # local contracts never touch region algebra (they read the plane
+        # through ``fwd``, in predicates), so they take the reference
+        # carrier and refine no atom index; a counting verifier reads the
+        # plane's LEC table and deltas as words, so the plane keeps them on
+        # this verifier's carrier.
         if self.is_local_check:
             carrier = self.ctx.carrier("bdd")
+        else:
+            carrier = self.ctx.carrier(predicate_index)
+            plane.use_carrier(carrier)
         self._carrier = carrier
 
         self.nodes: Dict[int, NodeTask] = {n.node_id: n for n in task.nodes}
@@ -171,19 +178,18 @@ class OnDeviceVerifier:
         ``_recompute``, ``_preimage_region`` and ``_region_toward`` all read
         the (mostly static) interest through this split; it only changes
         when the FIB changes (plane epoch) or the interest itself grows.
-        May refine the carrier (first use of a table lifts its entries).
+        May refine the carrier (a from-scratch table build lifts its
+        entries).
         """
         st = self.state[node_id]
-        carrier = self._carrier
+        # Get the table BEFORE reading the interest word.
         table = self.plane.lec_table()
-        # Force the table's handles BEFORE reading the interest word.
-        table.handles(carrier)
-        interest = carrier.word(st.interest)
+        interest = self._carrier.word(st.interest)
         key = (self.plane.epoch, interest)
         cached = self._fwd_split_cache.get(node_id)
         if cached is not None and cached[0] == key:
             return cached[1]
-        split = table.split(carrier, interest)
+        split = table.split(interest)
         self._fwd_split_cache[node_id] = (key, split)
         return split
 
@@ -297,13 +303,12 @@ class OnDeviceVerifier:
         if self.is_local_check:
             self._run_local_checks()
             return []
-        # Union as words: the LEC update just lowered these predicates
-        # from the plane's own words (seeding the reverse direction), so on
-        # the mask carrier this is pure int algebra, not a BDD OR-chain.
-        lift = self._carrier.lift
-        changed = lift(deltas[0].predicate)
+        # The plane is on this verifier's carrier: each region is a kept
+        # handle, read current here whatever refined since the update.
+        word = self._carrier.word
+        changed = word(deltas[0].region)
         for delta in deltas[1:]:
-            changed = changed | lift(delta.predicate)
+            changed = changed | word(delta.region)
         outgoing: List[Outgoing] = []
         for nid in self.nodes:
             outgoing.extend(self._recompute(nid, changed))

@@ -4,10 +4,17 @@ This is the "FIB/ACL" box of Figure 1: the forwarding state an on-device
 verifier reads.  Rule installs/removals return :class:`LecDelta` lists so the
 verifier can process exactly the packet-space regions whose behaviour
 changed.
+
+Once a device sees single-rule updates its table is kept in first-match
+order, one :class:`RuleRow` per rule (bisect on ``Rule.sort_key``, so an
+update never sorts); the row carries the rule's match and effective region
+as handles of the plane's region carrier, which is what lets the cached
+:class:`LecTable` evolve instead of being rebuilt.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd.predicate import PacketSpaceContext, Predicate
@@ -15,6 +22,7 @@ from repro.dataplane.action import Action
 from repro.dataplane.lec import (
     LecDelta,
     LecTable,
+    RuleRow,
     compute_lec_table,
     install_into_table,
     remove_from_table,
@@ -25,6 +33,10 @@ from repro.errors import DataPlaneError
 __all__ = ["DevicePlane"]
 
 
+def _row_key(row: RuleRow) -> tuple:
+    return row.rule.sort_key()
+
+
 class DevicePlane:
     """The data plane of one device."""
 
@@ -33,64 +45,78 @@ class DevicePlane:
         self.ctx = ctx
         self._rules: Dict[int, Rule] = {}
         self._lec_cache: Optional[LecTable] = None
-        #: Region carrier the incremental LEC bookkeeping runs on.  A
-        #: standalone plane keeps the reference carrier; a network attaches
-        #: the one its verifiers use (:meth:`use_carrier`).
+        #: Region carrier the LEC table and the rows' books live on.  A
+        #: standalone plane keeps the reference carrier; a counting verifier
+        #: attaches the one it reads the table with (:meth:`use_carrier`).
         self.carrier = ctx.carrier("bdd")
-        # Per-rule match and effective regions of the cached table (rule id
-        # -> handle; effective = the packets the rule wins).  Single-rule
-        # updates evolve the cached table through these books instead of
-        # rebuilding it from scratch.
-        self._matches: Optional[Dict[int, object]] = None
-        self._effectives: Optional[Dict[int, object]] = None
+        # The cached table's books: one row per rule, in first-match order.
+        # Built by the first single-rule update (a burst never pays for
+        # them), evolved together with the cached table by every later one,
+        # dropped by anything else.
+        self._rows: Optional[List[RuleRow]] = None
         #: FIB epoch: bumped on every table mutation.  Verifiers key their
         #: per-interest forwarding-split memos on it.
         self.epoch = 0
 
     def use_carrier(self, carrier) -> None:
-        """Run single-rule updates on ``carrier`` (idempotent).
+        """Keep the LEC table and books on ``carrier`` (idempotent).
 
-        Tables and LEC deltas are byte-identical on every carrier — only
-        the internal bookkeeping representation changes."""
+        Tables and LEC deltas lower to the same bytes on every carrier —
+        only the stored representation changes: a switch drops the books,
+        and the next :meth:`lec_table` rebuilds the cached table's classes
+        on the new carrier, in the same entry order."""
         if carrier is not self.carrier:
             self.carrier = carrier
-            self._matches = None
-            self._effectives = None
+            self._rows = None
 
-    def _ensure_books(self) -> None:
-        """Build the per-rule bookkeeping for the current table.
+    def _books(self) -> List[RuleRow]:
+        """The rows, with every rule's books for the current table.
 
         One-time cost per device (then evolved incrementally): lift every
         match, then derive effective regions by a first-match sweep.
         """
-        if self._effectives is not None:
-            return
-        carrier = self.carrier
-        word, keep, lift = carrier.word, carrier.keep, carrier.lift
-        rules = self.rules
-        # Two passes: lifting any match may refine the carrier, so words
-        # are read only after every boundary is installed.
-        matches = {rule.rule_id: keep(lift(rule.match)) for rule in rules}
-        effectives: Dict[int, object] = {}
-        covered = carrier.empty
-        for rule in rules:
-            match = word(matches[rule.rule_id])
-            effectives[rule.rule_id] = keep(match & ~covered)
-            covered = covered | match
-        self._matches = matches
-        self._effectives = effectives
+        rows = self._rows
+        if rows is None:
+            carrier = self.carrier
+            word, keep, lift = carrier.word, carrier.keep, carrier.lift
+            # Two passes: lifting any match may refine the carrier, so words
+            # are read only after every boundary is installed.
+            rows = [RuleRow(rule, keep(lift(rule.match))) for rule in self.rules]
+            covered = carrier.empty
+            for row in rows:
+                match = word(row.match)
+                row.effective = keep(match & ~covered)
+                covered = covered | match
+            self._rows = rows
+        return rows
 
     def _invalidate(self) -> None:
         self._lec_cache = None
-        self._matches = None
-        self._effectives = None
+        self._rows = None
         self.epoch += 1
+
+    def _require_free(self, rule_id: int) -> None:
+        if rule_id in self._rules:
+            raise DataPlaneError(
+                f"rule {rule_id} already installed on {self.name}"
+            )
+
+    def _installed(self, rule_id: int) -> Rule:
+        rule = self._rules.get(rule_id)
+        if rule is None:
+            raise DataPlaneError(f"rule {rule_id} not installed on {self.name}")
+        return rule
 
     # ------------------------------------------------------------------
     # Table manipulation
     # ------------------------------------------------------------------
     @property
     def rules(self) -> List[Rule]:
+        """The installed rules in first-match order (read off the rows
+        when there are any: a single-rule update never sorts)."""
+        rows = self._rows
+        if rows is not None:
+            return [row.rule for row in rows]
         return sorted(self._rules.values(), key=Rule.sort_key)
 
     @property
@@ -107,36 +133,35 @@ class DevicePlane:
         Incremental: the cached LEC table is evolved by redistributing the
         new rule's effective region, costing work proportional to the
         affected packets rather than the whole rule table."""
-        if rule.rule_id in self._rules:
-            raise DataPlaneError(
-                f"rule {rule.rule_id} already installed on {self.name}"
-            )
-        old = self.lec_table()
-        self._ensure_books()
+        self._require_free(rule.rule_id)
+        table = self.lec_table()
+        rows = self._books()
+        position = bisect_left(rows, rule.sort_key(), key=_row_key)
+        rows.insert(position, RuleRow(rule))
         self._rules[rule.rule_id] = rule
-        self._lec_cache, deltas = install_into_table(
-            self.carrier, old, self._matches, self._effectives,
-            self.rules, rule,
-        )
+        self._lec_cache, deltas = install_into_table(table, rows, position)
         self.epoch += 1
         return deltas
 
     def remove_rule(self, rule_id: int) -> List[LecDelta]:
         """Remove a rule by id; return the changed LEC regions."""
-        if rule_id not in self._rules:
-            raise DataPlaneError(f"rule {rule_id} not installed on {self.name}")
-        old = self.lec_table()
-        self._ensure_books()
-        removed = self._rules.pop(rule_id)
+        rule = self._installed(rule_id)
+        table = self.lec_table()
+        rows = self._books()
+        position = bisect_left(rows, rule.sort_key(), key=_row_key)
+        removed = rows.pop(position)
+        del self._rules[rule_id]
         self._lec_cache, deltas = remove_from_table(
-            self.carrier, old, self._matches, self._effectives,
-            self.rules, removed,
+            table, rows, position, removed
         )
         self.epoch += 1
         return deltas
 
     def replace_rule(self, rule_id: int, new_rule: Rule) -> List[LecDelta]:
-        """Atomically swap a rule (the §2.2.3 'B updates its action' case)."""
+        """Atomically swap a rule (the §2.2.3 'B updates its action' case):
+        either both halves happen or, on a bad id, neither."""
+        if new_rule.rule_id != rule_id:
+            self._require_free(new_rule.rule_id)
         deltas = self.remove_rule(rule_id)
         deltas.extend(self.install_rule(new_rule))
         return deltas
@@ -148,19 +173,20 @@ class DevicePlane:
         coordinator tracks rule tables without ever paying for LEC builds
         (the workers compute the real deltas).
         """
-        if rule_id not in self._rules:
-            raise DataPlaneError(f"rule {rule_id} not installed on {self.name}")
+        self._installed(rule_id)
         del self._rules[rule_id]
         self._invalidate()
 
     def install_many(self, rules: Sequence[Rule]) -> None:
-        """Bulk install without delta computation (burst-update fast path)."""
-        for rule in rules:
-            if rule.rule_id in self._rules:
-                raise DataPlaneError(
-                    f"rule {rule.rule_id} already installed on {self.name}"
-                )
-            self._rules[rule.rule_id] = rule
+        """Bulk install without delta computation (burst-update fast path):
+        all of ``rules`` or — on a taken or repeated id — none."""
+        ids = [rule.rule_id for rule in rules]
+        taken = self._rules.keys() & ids
+        if taken:
+            self._require_free(min(taken))
+        if len(set(ids)) != len(ids):
+            raise DataPlaneError(f"a rule id is given twice to {self.name}")
+        self._rules.update(zip(ids, rules))
         self._invalidate()
 
     def clear(self) -> None:
@@ -171,9 +197,19 @@ class DevicePlane:
     # Forwarding queries
     # ------------------------------------------------------------------
     def lec_table(self) -> LecTable:
-        if self._lec_cache is None:
-            self._lec_cache = compute_lec_table(self.ctx, self.rules)
-        return self._lec_cache
+        table = self._lec_cache
+        carrier = self.carrier
+        if table is None:
+            table = compute_lec_table(self.ctx, self.rules, carrier)
+        elif table.carrier is not carrier:
+            lift, keep = carrier.lift, carrier.keep
+            table = LecTable(
+                self.ctx,
+                carrier,
+                [(keep(lift(pred)), action) for pred, action in table.entries()],
+            )
+        self._lec_cache = table
+        return table
 
     def fwd(self, pred: Predicate) -> List[Tuple[Predicate, Action]]:
         """Split a packet set along LEC boundaries into (piece, action)."""

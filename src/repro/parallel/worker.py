@@ -105,9 +105,6 @@ class VerifierHost:
     def _attach(self, planes: Dict[str, DevicePlane], tasks: list) -> None:
         """Bind this worker to one deployment's planes and tasks."""
         self.planes = planes
-        carrier = self.ctx.carrier(self.predicate_index)  # type: ignore[attr-defined]
-        for plane in self.planes.values():
-            plane.use_carrier(carrier)
         self.verifiers: Dict[Tuple[str, str], OnDeviceVerifier] = {}
         self._by_dev: Dict[str, List[Tuple[str, OnDeviceVerifier]]] = {
             dev: [] for dev in self.planes

@@ -215,14 +215,10 @@ class SimNetwork:
                 self, channel, transport_config or TransportConfig()
             )
 
-        carrier = ctx.carrier(predicate_index)
         for name in topology.devices:
             plane = planes.get(name)
             if plane is None:
                 plane = DevicePlane(name, ctx)
-            # Single-rule updates on this plane run on the same carrier the
-            # verifiers use (LEC deltas are byte-identical on either).
-            plane.use_carrier(carrier)
             device = SimDevice(name, plane, self)
             for task_set in self.task_sets:
                 device.add_task(task_set)

@@ -122,6 +122,30 @@ class TestInternalEvents:
         ((_pred, cs),) = message.results
         assert cs == ((0,),)
 
+    @pytest.mark.parametrize("predicate_index", ["atoms", "bdd"])
+    def test_standalone_plane_takes_the_verifiers_carrier(
+        self, ctx, chain_setup, predicate_index
+    ):
+        """No network: a counting verifier itself puts the plane on its
+        carrier, and reads the plane's deltas without a conversion."""
+        _topo, space, _inv, tasks, planes = chain_setup
+        a, d = (
+            OnDeviceVerifier(
+                tasks.tasks[dev], planes[dev], predicate_index=predicate_index
+            )
+            for dev in "AD"
+        )
+        assert planes["A"].carrier is ctx.carrier(predicate_index)
+        a.initialize()
+        ((_, msg),) = d.initialize()
+        a.handle_update(msg)
+        deltas = planes["A"].replace_rule(
+            planes["A"].rules[0].rule_id, Rule(space, Action.drop(), 1)
+        )
+        assert all(delta.carrier is planes["A"].carrier for delta in deltas)
+        ((_dest, message),) = a.handle_lec_deltas(deltas)
+        assert message.results == ((space, ((0,),)),)
+
     def test_empty_deltas_noop(self, ctx, chain_setup):
         _topo, _space, _inv, tasks, planes = chain_setup
         a = verifier_for(tasks, planes, "A")
