@@ -31,6 +31,7 @@ from repro.core.dpvnet import (
 )
 from repro.core.invariant import (
     Atom,
+    Behavior,
     Invariant,
     MatchKind,
     collect_atoms,
@@ -54,12 +55,12 @@ class Planner:
     def __init__(self, topology: Topology, ctx: PacketSpaceContext) -> None:
         self.topology = topology
         self.ctx = ctx
-        self._dist_cache: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # DPVNet construction
     # ------------------------------------------------------------------
-    def compile_atoms(self, invariant: Invariant) -> Tuple[List[Atom], List[Dfa]]:
+    def counting_atoms(self, invariant: Invariant) -> List[Atom]:
+        """The invariant's counting components, checked for combinability."""
         atoms = collect_atoms(invariant.behavior)
         if not atoms:
             raise SpecificationError("behavior has no atoms")
@@ -68,6 +69,10 @@ class Planner:
             raise SpecificationError(
                 "equal atoms cannot be combined with other atoms"
             )
+        return atoms
+
+    def compile_atoms(self, invariant: Invariant) -> Tuple[List[Atom], List[Dfa]]:
+        atoms = self.counting_atoms(invariant)
         alphabet = self.topology.devices
         dfas = [compile_regex(atom.path.regex, alphabet) for atom in atoms]
         return atoms, dfas
@@ -82,8 +87,16 @@ class Planner:
         ``topology`` overrides the planner's topology (fault scenes pass the
         failed-link subgraph here).
         """
-        topo = topology or self.topology
         atoms, dfas = self.compile_atoms(invariant)
+        return self._build(invariant, atoms, dfas, topology or self.topology)
+
+    def _build(
+        self,
+        invariant: Invariant,
+        atoms: Sequence[Atom],
+        dfas: Sequence[Dfa],
+        topo: Topology,
+    ) -> DpvNet:
         needs_enumeration = any(
             atom.path.simple_only or atom.path.length_filters for atom in atoms
         )
@@ -93,18 +106,11 @@ class Planner:
                 topo, dfas, ingresses, max_hops=topo.num_devices
             )
 
-        dist_to: Dict[str, Dict[str, int]] = {}
-
-        def shortest(ingress: str, dev: str) -> Optional[int]:
-            if dev not in dist_to:
-                dist_to[dev] = topo.hop_distances_to(dev)
-            return dist_to[dev].get(ingress)
-
         def accept_path(atom_index: int, ingress: str, path: Tuple[str, ...]) -> bool:
             atom = atoms[atom_index]
             hops = len(path) - 1
             for filt in atom.path.length_filters:
-                if not filt.admits(hops, shortest(ingress, path[-1])):
+                if not filt.admits(hops, topo.shortest_hops(ingress, path[-1])):
                     return False
             return True
 
@@ -139,12 +145,45 @@ class Planner:
             bounds.append(atom_bound)
         return max(bounds) if bounds else fallback
 
+    def plan(
+        self,
+        invariants: Sequence[Invariant],
+        prebuilt_nets: Optional[Mapping[str, DpvNet]] = None,
+    ) -> List[TaskSet]:
+        """Decompose a batch of invariants, one :class:`TaskSet` each, in
+        order — planning once per shape.
+
+        A DPVNet depends on the topology, the ingress set and the behavior,
+        never on the packet space, so invariants that differ only in packet
+        space share one build, and a behavior's DFAs are compiled once.  The
+        memo lives for this call only; every invariant still gets its own
+        task set.  ``prebuilt_nets`` maps invariant names to DPVNets used
+        as given (e.g. fault-tolerant ones from
+        :func:`repro.core.fault.compute_fault_plan`).
+        """
+        prebuilt = prebuilt_nets or {}
+        compiled: Dict[Behavior, Tuple[List[Atom], List[Dfa]]] = {}
+        nets: Dict[tuple, DpvNet] = {}
+        task_sets: List[TaskSet] = []
+        for inv in invariants:
+            net = prebuilt.get(inv.name)
+            if net is None:
+                key = (tuple(inv.ingress_set), inv.behavior, inv.fault_spec)
+                net = nets.get(key)
+                if net is None:
+                    if inv.behavior not in compiled:
+                        compiled[inv.behavior] = self.compile_atoms(inv)
+                    atoms, dfas = compiled[inv.behavior]
+                    net = nets[key] = self._build(inv, atoms, dfas, self.topology)
+            task_sets.append(self.decompose(inv, net))
+        return task_sets
+
     # ------------------------------------------------------------------
     # Task decomposition (§2.2.2)
     # ------------------------------------------------------------------
     def decompose(self, invariant: Invariant, net: Optional[DpvNet] = None) -> TaskSet:
         """Split the DPVNet into per-device counting tasks."""
-        atoms, _dfas = self.compile_atoms(invariant)
+        atoms = self.counting_atoms(invariant)
         if net is None:
             net = self.build_dpvnet(invariant)
         node_home = {nid: node.dev for nid, node in net.nodes.items()}
@@ -218,7 +257,7 @@ class Planner:
     ) -> VerificationResult:
         """Verify the invariant against a data plane snapshot (Algorithm 1 +
         behavior evaluation, or local checks for ``equal``)."""
-        atoms, _dfas = self.compile_atoms(invariant)
+        atoms = self.counting_atoms(invariant)
         if net is None:
             net = self.build_dpvnet(invariant)
         if atoms[0].kind is MatchKind.EQUAL:

@@ -11,7 +11,7 @@ the paper's planner ships to on-device verifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.bdd.predicate import Predicate
 from repro.core.counting import CountExp
@@ -89,24 +89,6 @@ class DeviceTask:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def rebind(self, packet_space: Predicate) -> "DeviceTask":
-        """A copy of this task whose packet space lives in another context.
-
-        Everything except the packet-space predicate is context-free (node
-        ids, atoms, behavior trees, count expressions), so shipping a task
-        to a worker process is: pickle the task with the predicate stripped,
-        move the predicate as BDD bytes, then ``rebind`` on arrival.
-        """
-        return DeviceTask(
-            dev=self.dev,
-            invariant_name=self.invariant_name,
-            packet_space=packet_space,
-            atoms=self.atoms,
-            behavior=self.behavior,
-            nodes=self.nodes,
-            reduction_exps=self.reduction_exps,
-        )
 
 
 @dataclass

@@ -154,13 +154,9 @@ class TulkunRunner:
         self.ctx = ctx
         self.invariants = list(invariants)
         self.planner = Planner(topology, ctx)
-        self.task_sets: List[TaskSet] = [
-            self.planner.decompose(
-                inv,
-                net=(prebuilt_nets or {}).get(inv.name),  # type: ignore[arg-type]
-            )
-            for inv in self.invariants
-        ]
+        self.task_sets: List[TaskSet] = self.planner.plan(
+            self.invariants, prebuilt_nets  # type: ignore[arg-type]
+        )
         self.cpu_scale = cpu_scale
         self.backend = backend
         self.workers = workers
@@ -484,14 +480,13 @@ class TulkunRunner:
         """
         invariants = list(invariants)
         existing = {inv.name for inv in self.invariants}
-        new_sets: List[TaskSet] = []
         for inv in invariants:
             if inv.name in existing:
                 raise SimulationError(
                     f"invariant {inv.name!r} is already deployed"
                 )
             existing.add(inv.name)
-            new_sets.append(self.planner.decompose(inv))
+        new_sets = self.planner.plan(invariants)
         self.invariants.extend(invariants)
         self.task_sets.extend(new_sets)
         registry = self.slice_registry

@@ -51,12 +51,15 @@ class Topology:
         # §3 convenience feature: (device, IP_prefix) mapping for devices
         # with external ports.
         self.external_prefixes: Dict[str, List[str]] = {}
+        # destination -> BFS hop distances; cleared by every graph mutation.
+        self._hops_to: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_device(self, name: str) -> None:
         self._adjacency.setdefault(name, {})
+        self._hops_to.clear()
 
     def add_link(self, a: str, b: str, latency: float = 1e-5) -> None:
         if a == b:
@@ -67,6 +70,7 @@ class Topology:
         self.add_device(b)
         self._adjacency[a][b] = latency
         self._adjacency[b][a] = latency
+        self._hops_to.clear()
 
     def attach_prefix(self, device: str, prefix: str) -> None:
         """Declare that ``prefix`` is reachable via an external port of
@@ -166,7 +170,20 @@ class Topology:
     # Distances
     # ------------------------------------------------------------------
     def hop_distances_to(self, destination: str) -> Dict[str, int]:
-        """BFS hop count from every device to ``destination``."""
+        """BFS hop count from every device to ``destination`` (a copy the
+        caller may mutate)."""
+        return dict(self._distances_to(destination))
+
+    def shortest_hops(self, source: str, destination: str) -> Optional[int]:
+        """Hop count of the shortest path, or None if disconnected."""
+        return self._distances_to(destination).get(source)
+
+    def _distances_to(self, destination: str) -> Dict[str, int]:
+        """The cached BFS from ``destination``: one run per destination
+        until the graph next changes."""
+        distances = self._hops_to.get(destination)
+        if distances is not None:
+            return distances
         if destination not in self._adjacency:
             raise TopologyError(f"unknown device {destination!r}")
         distances = {destination: 0}
@@ -179,11 +196,8 @@ class Topology:
                         distances[neighbor] = distances[device] + 1
                         next_frontier.append(neighbor)
             frontier = next_frontier
+        self._hops_to[destination] = distances
         return distances
-
-    def shortest_hops(self, source: str, destination: str) -> Optional[int]:
-        """Hop count of the shortest path, or None if disconnected."""
-        return self.hop_distances_to(destination).get(source)
 
     def latency_distances_from(self, source: str) -> Dict[str, float]:
         """Dijkstra over link latencies (used to route management traffic for
@@ -211,7 +225,7 @@ class Topology:
         """Maximum finite hop distance over all device pairs."""
         best = 0
         for device in self._adjacency:
-            distances = self.hop_distances_to(device)
+            distances = self._distances_to(device)
             if distances:
                 best = max(best, max(distances.values()))
         return best
@@ -220,7 +234,7 @@ class Topology:
         if not self._adjacency:
             return True
         start = next(iter(self._adjacency))
-        return len(self.hop_distances_to(start)) == len(self._adjacency)
+        return len(self._distances_to(start)) == len(self._adjacency)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

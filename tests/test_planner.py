@@ -1,11 +1,15 @@
 """Planner: verification verdicts, equal local checks, task decomposition,
-§3 consistency validation."""
+batch planning, §3 consistency validation."""
+
+import dataclasses
+import weakref
 
 import pytest
 
 from repro.core.counting import CountExp
 from repro.core.invariant import (
     Atom,
+    FaultSpec,
     Invariant,
     LengthFilter,
     MatchKind,
@@ -13,11 +17,14 @@ from repro.core.invariant import (
 )
 from repro.core.library import (
     all_shortest_path_availability,
+    multicast,
     reachability,
     waypoint_reachability,
 )
+from repro.core import planner as planner_module
 from repro.core.planner import Planner
 from repro.dataplane import Action, DevicePlane, Rule
+from repro.datasets import build_dataset
 from repro.errors import SpecificationError
 from repro.topology import fattree, fig2a_example
 
@@ -171,6 +178,165 @@ class TestDecompose:
         inv = multicast(fig2_spaces[0], "S", ["B", "D"])
         tasks = Planner(fig2a, ctx).decompose(inv)
         assert all(e is None for e in tasks.tasks["S"].reduction_exps)
+
+
+def task_set_fields(task_set):
+    """Everything a deployment reads from a task set, in iteration order."""
+    return (
+        task_set.invariant_name,
+        list(task_set.node_home.items()),
+        list(task_set.source_nodes.items()),
+        task_set.arity,
+        [
+            (
+                dev, task.dev, task.invariant_name, task.packet_space,
+                task.atoms, task.behavior, task.reduction_exps,
+                [
+                    (
+                        node.node_id, node.label, node.dev, node.accept,
+                        node.downstream, node.upstream, node.is_source_for,
+                        list(node.edge_scenes.items()),
+                        list(node.accept_scenes.items()),
+                    )
+                    for node in task.nodes
+                ],
+            )
+            for dev, task in task_set.tasks.items()
+        ],
+    )
+
+
+def counted_plan(monkeypatch, planner, invariants):
+    """``planner.plan(invariants)`` plus the DPVNets it built, as weakrefs."""
+    built = []
+    for name in ("build_enumeration_dpvnet", "build_product_dpvnet"):
+        original = getattr(planner_module, name)
+
+        def counting(*args, _original=original, **kwargs):
+            net = _original(*args, **kwargs)
+            built.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(planner_module, name, counting)
+    task_sets = planner.plan(invariants)
+    monkeypatch.undo()
+    return task_sets, built
+
+
+def assert_plans_like_decompose(monkeypatch, topo, ctx, invariants, shapes):
+    """``plan`` equals per-invariant ``decompose`` field by field, builds
+    ``shapes`` DPVNets, shares no task object and retains no DPVNet."""
+    planner = Planner(topo, ctx)
+    task_sets, built = counted_plan(monkeypatch, planner, invariants)
+    assert len(built) == shapes
+    # The planner outlives the call; the DPVNets it built do not.
+    assert all(ref() is None for ref in built)
+    reference = [Planner(topo, ctx).decompose(inv) for inv in invariants]
+    assert len(task_sets) == len(reference)
+    for planned, expected in zip(task_sets, reference):
+        assert task_set_fields(planned) == task_set_fields(expected)
+        assert planned == expected
+    node_tasks = [
+        id(node)
+        for task_set in task_sets
+        for task in task_set.tasks.values()
+        for node in task.nodes
+    ]
+    assert len(node_tasks) == len(set(node_tasks))
+
+
+def shape_count(invariants):
+    return len({
+        (tuple(inv.ingress_set), inv.behavior, inv.fault_spec)
+        for inv in invariants
+    })
+
+
+class TestPlan:
+    def test_tenant_slices_plan_once_per_shape(self, monkeypatch):
+        from benchmarks.e2e.workloads import tenant_invariants
+
+        ds = build_dataset("NTT", pair_limit=2, seed=5)
+        invariants, _pairs, _spaces = tenant_invariants(ds, 128)
+        assert shape_count(invariants) == 47
+        assert_plans_like_decompose(
+            monkeypatch, ds.topology, ds.ctx, invariants, shapes=47
+        )
+
+    def test_fattree_dataset(self, monkeypatch):
+        ds = build_dataset("FT-4", pair_limit=None, seed=7)
+        invariants = list(ds.invariants)
+        assert_plans_like_decompose(
+            monkeypatch, ds.topology, ds.ctx, invariants,
+            shapes=shape_count(invariants),
+        )
+
+    def test_fault_spec_is_part_of_the_shape(self, monkeypatch, ctx, fig2a):
+        spaces = [ctx.ip_prefix("10.0.0.0/24"), ctx.ip_prefix("10.0.1.0/24")]
+        one_failure = FaultSpec.up_to(1)
+        invariants = [
+            dataclasses.replace(
+                reachability(space, "S", "D", fault_spec=spec),
+                name=f"reach{i}_{j}",
+            )
+            for i, space in enumerate(spaces)
+            for j, spec in enumerate((None, one_failure))
+        ]
+        assert_plans_like_decompose(monkeypatch, fig2a, ctx, invariants, shapes=2)
+
+    def test_local_check_invariants(self, monkeypatch, ctx):
+        topo = fattree(4)
+        invariants = [
+            dataclasses.replace(
+                all_shortest_path_availability(
+                    ctx.ip_prefix(f"10.0.{i}.0/24"), src, "edge_3_1"
+                ),
+                name=f"rcdc{i}",
+            )
+            for i, src in enumerate(["edge_0_0", "edge_0_1", "edge_0_0"])
+        ]
+        assert_plans_like_decompose(monkeypatch, topo, ctx, invariants, shapes=2)
+
+    def test_multi_atom_and_product_behaviors(self, monkeypatch, ctx, fig2a):
+        spaces = [ctx.ip_prefix("10.0.0.0/24"), ctx.ip_prefix("10.0.1.0/24")]
+        product = Atom(
+            PathExpr.parse("S .* W .* D"), MatchKind.EXIST, CountExp(">=", 1)
+        )
+        invariants = []
+        for i, space in enumerate(spaces):
+            invariants += [
+                dataclasses.replace(multicast(space, "S", ["B", "D"]), name=f"m{i}"),
+                Invariant(space, ("S",), product, name=f"p{i}"),
+                Invariant(space, ("S", "A"), product, name=f"pp{i}"),
+            ]
+        assert_plans_like_decompose(monkeypatch, fig2a, ctx, invariants, shapes=3)
+
+    def test_each_behavior_compiles_once(self, monkeypatch, ctx, fig2a):
+        compiled = []
+        original = planner_module.compile_regex
+
+        def counting(regex, alphabet):
+            compiled.append(regex)
+            return original(regex, alphabet)
+
+        monkeypatch.setattr(planner_module, "compile_regex", counting)
+        space = ctx.ip_prefix("10.0.0.0/24")
+        atom = Atom(PathExpr.parse("A .* D"), MatchKind.EXIST, CountExp(">=", 1))
+        invariants = [
+            Invariant(space, ingresses, atom, name=str(i))
+            for i, ingresses in enumerate([("A",), ("A", "S"), ("A",)])
+        ]
+        Planner(fig2a, ctx).plan(invariants)
+        assert len(compiled) == 1
+
+    def test_prebuilt_nets_take_precedence(self, ctx, fig2a):
+        space = ctx.ip_prefix("10.0.0.0/24")
+        inv = reachability(space, "S", "D")
+        planner = Planner(fig2a, ctx)
+        prebuilt = planner.build_dpvnet(dataclasses.replace(inv, ingress_set=("A",)))
+        (task_set,) = planner.plan([inv], {inv.name: prebuilt})
+        assert task_set.source_nodes == dict(prebuilt.sources)
+        assert "A" in task_set.source_nodes
 
 
 class TestValidation:

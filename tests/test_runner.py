@@ -211,3 +211,41 @@ class TestDirectIncrementalApi:
         )
         assert len(result.times) == 2
         assert all(t >= 0 for t in result.times)
+
+
+class TestAddInvariants:
+    def _tenant_runner(self):
+        from benchmarks.e2e.workloads import tenant_invariants
+
+        ds = build_dataset("NTT", pair_limit=2, seed=5)
+        invariants, _pairs, _spaces = tenant_invariants(ds, 128)
+        runner = TulkunRunner(ds.topology, ds.ctx, invariants[1:2], slices="auto")
+        runner.burst_update(fresh_rules(ds))
+        return runner, invariants
+
+    def test_same_shape_pair_builds_one_dpvnet(self, monkeypatch):
+        from repro.core import planner as planner_module
+
+        runner, invariants = self._tenant_runner()
+        pair = [invariants[0], invariants[47]]
+        assert pair[0].packet_space != pair[1].packet_space
+        builds = []
+        original = planner_module.build_enumeration_dpvnet
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(planner_module, "build_enumeration_dpvnet", counting)
+        with runner:
+            runner.add_invariants(pair)
+            together = runner.statuses()
+        assert len(builds) == 1
+
+        apart, invariants = self._tenant_runner()
+        builds.clear()
+        with apart:
+            apart.add_invariants([invariants[0]])
+            apart.add_invariants([invariants[47]])
+            assert apart.statuses() == together
+        assert len(builds) == 2

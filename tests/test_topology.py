@@ -76,6 +76,32 @@ class TestDistances:
         assert distances["d0"] == 4
         assert distances["d4"] == 0
 
+    def test_hop_cache_follows_graph_changes(self):
+        topo = line(5)
+        assert topo.shortest_hops("d0", "d4") == 4
+        topo.add_link("d0", "d4")
+        assert topo.shortest_hops("d0", "d4") == 1
+        topo.add_device("d5")
+        assert topo.shortest_hops("d5", "d4") is None
+        topo.add_link("d5", "d0")
+        assert topo.shortest_hops("d5", "d4") == 2
+
+    def test_hop_distances_are_a_private_copy(self):
+        topo = line(3)
+        topo.hop_distances_to("d2")["d0"] = 99
+        assert topo.shortest_hops("d0", "d2") == 2
+        assert topo.hop_distances_to("d2") == {"d0": 2, "d1": 1, "d2": 0}
+
+    def test_clone_does_not_share_hop_cache(self):
+        topo = line(4)
+        assert topo.shortest_hops("d0", "d3") == 3
+        cut = topo.without_links([("d1", "d2")])
+        assert cut.shortest_hops("d0", "d3") is None
+        assert topo.shortest_hops("d0", "d3") == 3
+        cut.add_link("d0", "d3")
+        assert cut.shortest_hops("d0", "d3") == 1
+        assert topo.shortest_hops("d0", "d3") == 3
+
     def test_shortest_hops_disconnected(self):
         topo = Topology("t")
         topo.add_device("x")
