@@ -888,9 +888,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--slices", action="store_true",
-        help="slice invariants into tenant intents (tenant/name prefix "
-             "convention): updates route only to touched slices, delta "
-             "frames carry the touched tenant list",
+        help="declare tenants: group invariants into tenant slices by the "
+             "tenant/name prefix convention, so delta frames carry the "
+             "touched tenant list and per-tenant admission applies (routing "
+             "to touched slices is always on; without this flag every "
+             "invariant is its own slice)",
     )
     p_serve.add_argument(
         "--max-pending-per-tenant", type=int, default=None, metavar="N",

@@ -104,15 +104,18 @@ class StreamSession:
         max_slices_per_tenant: Optional[int] = None,
     ) -> None:
         """``max_pending_per_tenant`` caps how many un-drained events may be
-        attributed to one tenant slice (needs slicing enabled on the runner,
+        attributed to one tenant slice (needs a runner that declares tenants,
         since attribution routes through the slice registry); excess requests
         are rejected with a ``tenant-backlog`` error.  ``max_slices_per_tenant``
         caps how many invariants one tenant slice may hold (``tenant-quota``).
         Both default to ``None`` — unlimited — which keeps admission out of
         the request/response stream entirely."""
-        if max_pending_per_tenant is not None and runner.slice_registry is None:
+        if (
+            max_pending_per_tenant is not None
+            and not runner.slice_registry.tenants_declared
+        ):
             raise ValueError(
-                "max_pending_per_tenant needs a runner with slicing enabled"
+                "max_pending_per_tenant needs a runner that declares tenants"
             )
         self.runner = runner
         self.rules_by_device = {
@@ -156,14 +159,9 @@ class StreamSession:
         result = self.runner.burst_update(self.rules_by_device)
         self._keys = auto_key_rules(self.rules_by_device)
         self._invariant_names = {inv.name for inv in self.runner.invariants}
-        registry = self.runner.slice_registry
         for name in self._invariant_names:
-            tenant = registry.tenant_of(name) if registry is not None else None
-            self._tenant_of_projected[name] = (
-                tenant if tenant is not None else tenant_of_invariant(name)
-            )
-        if registry is not None:
-            self.runner.consume_touched()  # deploy touches everything
+            self._tenant_of_projected[name] = self.tenant_of(name)
+        self.runner.consume_touched()  # deploy touches everything
         statuses = self.runner.statuses()
         self.deltas.diff(statuses)  # set the baseline clients start from
         return {
@@ -219,15 +217,13 @@ class StreamSession:
     # ------------------------------------------------------------------
     # Tenancy + admission
     # ------------------------------------------------------------------
-    def tenant_of(self, invariant_name: str) -> Optional[str]:
-        """Resolve an invariant's tenant through the slice registry when
-        slicing is on, the projected membership otherwise, and finally the
+    def tenant_of(self, invariant_name: str) -> str:
+        """Resolve an invariant's tenant through the slice registry's
+        declared tenants, then the projected membership, and finally the
         ``tenant/`` name-prefix convention."""
-        registry = self.runner.slice_registry
-        if registry is not None:
-            tenant = registry.tenant_of(invariant_name)
-            if tenant is not None:
-                return tenant
+        tenant = self.runner.slice_registry.tenant_of(invariant_name)
+        if tenant is not None:
+            return tenant
         tenant = self._tenant_of_projected.get(invariant_name)
         if tenant is not None:
             return tenant
@@ -475,8 +471,7 @@ class StreamSession:
                 raise ProtocolError(
                     "unknown-invariant", f"no invariant {name!r}"
                 )
-            tenant = self.tenant_of(name)
-            self._admit([tenant] if tenant is not None else [])
+            self._admit([self.tenant_of(name)])
             self._invariant_names.discard(name)
             self._tenant_of_projected.pop(name, None)
             self.coalescer.barrier("invariant-remove", (name,))
@@ -579,17 +574,17 @@ class StreamSession:
         latency = time.perf_counter() - wall_start
         self.histogram.record(latency)
         self.total_ops += ops
-        # Sliced deployments report which tenant slices this epoch touched
-        # (and record the epoch's latency against each of them); unsliced
-        # deployments keep the PR 9 frame shape exactly.
-        touched: Optional[List[str]] = None
-        if self.runner.slice_registry is not None:
-            touched = sorted(self.runner.consume_touched())
-            for tenant in touched:
-                hist = self.tenant_histograms.get(tenant)
-                if hist is None:
-                    hist = self.tenant_histograms[tenant] = LatencyHistogram()
-                hist.record(latency)
+        # Deployments that declare tenants report which tenant slices this
+        # epoch touched (and record the epoch's latency against each of
+        # them); the others keep the original frame shape exactly.
+        touched: Optional[List[str]] = sorted(self.runner.consume_touched())
+        if not self.runner.slice_registry.tenants_declared:
+            touched = None
+        for tenant in touched or ():
+            hist = self.tenant_histograms.get(tenant)
+            if hist is None:
+                hist = self.tenant_histograms[tenant] = LatencyHistogram()
+            hist.record(latency)
         if tracer is not None:
             t1 = tracer.ipc_clock()
             tracer.epoch_span(

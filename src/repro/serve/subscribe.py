@@ -4,13 +4,13 @@ By default every connected client receives every ``delta`` frame.  A
 ``subscribe`` request narrows that: a client subscribed to tenant ``A``
 never receives tenant ``B``'s verdict deltas — ``changed`` is filtered to
 the subscribed invariants, the ``touched`` tenant list (present when the
-deployment runs with slicing) is filtered to the subscribed tenants, and a
+deployment declares tenants) is filtered to the subscribed tenants, and a
 delta frame with nothing left for this client is suppressed entirely.
 
-Tenancy is resolved through the deployment's slice registry when slicing is
-enabled, and through the ``tenant/name`` prefix convention otherwise — so
-tenant subscriptions work on unsliced deployments too (they are a pure
-fan-out feature; slicing only adds the ``touched`` metadata).
+Tenancy is resolved through the slice registry's declared tenants, and
+through the ``tenant/name`` prefix convention otherwise — so tenant
+subscriptions work on deployments that declare no tenants too (they are a
+pure fan-out feature; declared tenants only add the ``touched`` metadata).
 
 ``ack``/``error``/``status``/``stats``/``hello``/``bye`` frames are never
 filtered: they answer the requester, not the broadcast.

@@ -127,16 +127,19 @@ class TulkunRunner:
         ``use_shm`` (process backend) ships cross-worker DVM frames through
         shared-memory rings; disable to force the pipe fallback lane.
 
-        ``slices`` enables intent-based slicing (:mod:`repro.slicing`):
-        ``"auto"`` groups invariants into tenant slices by their
-        ``tenant/name`` prefix; a mapping ``{tenant: [invariant names]}``
-        assigns them explicitly (unlisted invariants fall back to the
-        prefix convention).  With slicing on, every FIB update / link /
-        lifecycle event is routed only to the slices whose footprint it
-        intersects, verdict statuses of untouched slices are served from
-        cache, and (process backend) disjoint-footprint slice groups are
-        partitioned onto different shard workers.  Verdicts are
-        byte-identical to the unsliced run.
+        ``slices`` declares tenants (:mod:`repro.slicing`): ``"auto"``
+        groups invariants into tenant slices by their ``tenant/name``
+        prefix; a mapping ``{tenant: [invariant names]}`` assigns them
+        explicitly (unlisted invariants fall back to the prefix
+        convention).  Routing is always on: with ``None`` every invariant
+        is its own slice.  Every FIB update / link / lifecycle event is
+        routed only to the slices whose footprint it intersects, and
+        ``statuses()`` recomputes only the invariants of touched slices.
+        Declared tenants add what is tenant-facing: the serve layer's
+        per-tenant delta fields and admission, and (process backend)
+        disjoint-footprint slice groups partitioned onto different shard
+        workers in place of ``partition_strategy``.  Verdicts are
+        byte-identical to broadcasting every event to every verifier.
         """
         if backend not in ("serial", "process"):
             raise ValueError(f"unknown backend {backend!r}")
@@ -175,30 +178,29 @@ class TulkunRunner:
         # Rules withdrawn by drain_device, keyed by device, awaiting
         # restore_drained (rolling-upgrade bookkeeping).
         self._drained: Dict[str, List[Rule]] = {}
-        # Intent-based slicing (None = off): footprint router + per-slice
-        # verdict bookkeeping.  ``_status_dirty`` holds invariant names whose
-        # cached status a touched slice invalidated; ``touched_tenants``
-        # accumulates routing verdicts until consume_touched() (the serving
-        # layer drains it once per epoch for per-tenant delta fan-out).
-        self.slice_registry: Optional[SliceRegistry] = None
+        # Intent-based slicing: footprint router + per-slice verdict
+        # bookkeeping.  ``_status_dirty`` holds invariant names whose cached
+        # status a touched slice invalidated; ``touched_tenants`` accumulates
+        # routing verdicts until consume_touched() (the serving layer drains
+        # it once per epoch for per-tenant delta fan-out).
+        if isinstance(slices, str) and slices != "auto":
+            raise ValueError(f"unknown slices mode {slices!r}")
+        tenant_by_inv: Dict[str, str] = {}
+        if slices is not None and not isinstance(slices, str):
+            for tenant, names in slices.items():
+                for inv_name in names:
+                    tenant_by_inv[inv_name] = tenant
+        self.slice_registry = SliceRegistry(
+            topology, ctx, tenants_declared=slices is not None
+        )
+        for inv, task_set in zip(self.invariants, self.task_sets):
+            self.slice_registry.add_invariant(
+                inv, task_set, tenant=tenant_by_inv.get(inv.name)
+            )
         self._status_cache: Dict[str, str] = {}
         self._status_dirty: Set[str] = set()
         self.touched_tenants: Set[str] = set()
         self._scene_active = False
-        if slices is not None:
-            if isinstance(slices, str) and slices != "auto":
-                raise ValueError(f"unknown slices mode {slices!r}")
-            tenant_by_inv: Dict[str, str] = {}
-            if not isinstance(slices, str):
-                for tenant, names in slices.items():
-                    for inv_name in names:
-                        tenant_by_inv[inv_name] = tenant
-            registry = SliceRegistry(topology)
-            for inv, task_set in zip(self.invariants, self.task_sets):
-                registry.add_invariant(
-                    inv, task_set, tenant=tenant_by_inv.get(inv.name)
-                )
-            self.slice_registry = registry
 
     # ------------------------------------------------------------------
     def deploy(self, planes: Mapping[str, DevicePlane]):
@@ -210,13 +212,11 @@ class TulkunRunner:
         self._close_network()
         self._drained.clear()
         registry = self.slice_registry
-        if registry is not None:
-            registry.note_rules(
-                rule for plane in planes.values() for rule in plane.rules
-            )
-            self._mark_touched(registry.all_tenants())
-            self._status_cache.clear()
-            self._status_dirty.update(inv.name for inv in self.invariants)
+        registry.note_rules(
+            rule for plane in planes.values() for rule in plane.rules
+        )
+        self._status_cache.clear()
+        self._mark_touched(registry.all_tenants())
         if self.backend == "process":
             from repro.parallel.coordinator import ParallelNetwork
 
@@ -261,6 +261,7 @@ class TulkunRunner:
         num_devices = len(self.topology.devices)
         workers = self.workers if self.workers else default_worker_count()
         num_workers = max(1, min(workers, num_devices))
+        groups = self._slice_groups()
         profile = {
             "num_workers": num_workers,
             "strategy": self.partition_strategy,
@@ -271,8 +272,8 @@ class TulkunRunner:
             # warm pool only fits deployments with the same assignment, so
             # the group fingerprint forces a respawn when groups move.
             "slice_groups": (
-                tuple(tuple(group) for group in self._slice_groups())
-                if self.slice_registry is not None
+                tuple(tuple(group) for group in groups)
+                if groups is not None
                 else None
             ),
         }
@@ -290,20 +291,19 @@ class TulkunRunner:
 
     def _slice_groups(self):
         """Slice-footprint device groups for the process partition (None
-        when slicing is off — the configured strategy applies instead)."""
+        without declared tenants — the configured strategy applies)."""
         registry = self.slice_registry
-        if registry is None:
+        if not registry.tenants_declared:
             return None
         return registry.device_groups()
 
     def _mark_touched(self, tenants: Set[str]) -> None:
         """Record routing verdicts: dirty the statuses of every invariant
         in a touched slice and accumulate the tenants for the serve layer."""
-        registry = self.slice_registry
-        if registry is None or not tenants:
+        if not tenants:
             return
         self.touched_tenants.update(tenants)
-        self._status_dirty.update(registry.invariants_of(tenants))
+        self._status_dirty.update(self.slice_registry.invariants_of(tenants))
 
     def consume_touched(self) -> Set[str]:
         """Drain the tenants touched since the last call (serving epochs)."""
@@ -338,10 +338,9 @@ class TulkunRunner:
         """§9.3.2: all forwarding rules installed at once at t=0."""
         planes: Dict[str, DevicePlane] = {}
         network = self.deploy(planes)
-        if self.slice_registry is not None:
-            self.slice_registry.note_rules(
-                rule for rules in rules_by_device.values() for rule in rules
-            )
+        self.slice_registry.note_rules(
+            rule for rules in rules_by_device.values() for rule in rules
+        )
         for dev, rules in rules_by_device.items():
             network.install_rules(dev, list(rules), at=0.0)
         # Devices without rules still initialize (they announce zero counts).
@@ -398,18 +397,18 @@ class TulkunRunner:
                 ops.append(("install", install))
         only_by_dev = self._route_updates(updates)
         for dev in order:
-            only = only_by_dev.get(dev) if only_by_dev is not None else None
-            network.apply_rule_updates(dev, start, per_device[dev], only=only)
+            network.apply_rule_updates(
+                dev, start, per_device[dev], only=only_by_dev[dev]
+            )
         finish = network.run()
         return max(0.0, finish - start)
 
     def _route_updates(
         self,
         updates: Sequence[Tuple[str, Optional[Rule], Optional[int]]],
-    ) -> Optional[Dict[str, Set[str]]]:
+    ) -> Dict[str, Set[str]]:
         """Slicing router for one update burst: per device, the invariant
-        names of every slice the device's ops can touch (None = slicing
-        off, no filtering).
+        names of every slice the device's ops can touch.
 
         Runs *before* any plane mutation: a removal's match predicate is
         looked up on the still-unmutated plane; a removal whose rule was
@@ -418,8 +417,6 @@ class TulkunRunner:
         transform action widen the registry first — packet gating is then
         off for this and every later burst."""
         registry = self.slice_registry
-        if registry is None:
-            return None
         network = self.network
         touched_all: Set[str] = set()
         slices_by_dev: Dict[str, Set[str]] = {}
@@ -475,8 +472,9 @@ class TulkunRunner:
         worker processes and their warm BDD contexts are reused through the
         persistent pool, and every installed rule survives with its id.
 
-        ``tenants`` (slicing only) maps invariant names to explicit tenant
-        slices; unmapped names follow the ``tenant/name`` prefix convention.
+        ``tenants`` (declared tenants only) maps invariant names to explicit
+        tenant slices; unmapped names follow the ``tenant/name`` prefix
+        convention.
         """
         invariants = list(invariants)
         existing = {inv.name for inv in self.invariants}
@@ -490,15 +488,14 @@ class TulkunRunner:
         self.invariants.extend(invariants)
         self.task_sets.extend(new_sets)
         registry = self.slice_registry
-        if registry is not None:
-            touched = set()
-            for inv, task_set in zip(invariants, new_sets):
-                touched.add(
-                    registry.add_invariant(
-                        inv, task_set, tenant=(tenants or {}).get(inv.name)
-                    )
+        touched = set()
+        for inv, task_set in zip(invariants, new_sets):
+            touched.add(
+                registry.add_invariant(
+                    inv, task_set, tenant=(tenants or {}).get(inv.name)
                 )
-            self._mark_touched(touched)
+            )
+        self._mark_touched(touched)
         network = self.network
         if network is None or not invariants:
             return 0.0
@@ -526,18 +523,17 @@ class TulkunRunner:
             ts for ts in self.task_sets if ts.invariant_name not in doomed
         ]
         registry = self.slice_registry
-        if registry is not None:
-            touched = set()
-            for name in sorted(doomed):
-                tenant = registry.remove_invariant(name)
-                if tenant is not None:
-                    touched.add(tenant)
-                self._status_cache.pop(name, None)
-                self._status_dirty.discard(name)
-            # Surviving slice members keep valid cached statuses; the
-            # tenant is still reported touched (even when dissolved) so
-            # subscribers observe the membership change.
-            self.touched_tenants.update(touched)
+        touched = set()
+        for name in sorted(doomed):
+            tenant = registry.remove_invariant(name)
+            if tenant is not None:
+                touched.add(tenant)
+            self._status_cache.pop(name, None)
+            self._status_dirty.discard(name)
+        # Surviving slice members keep valid cached statuses; the tenant is
+        # still reported touched (even when dissolved) so subscribers
+        # observe the membership change.
+        self.touched_tenants.update(touched)
         network = self.network
         if network is None or not doomed:
             return 0.0
@@ -588,18 +584,9 @@ class TulkunRunner:
         network = self.network
         if network is None:
             raise RuntimeError("deploy/burst_update the network first")
-        registry = self.slice_registry
-        if registry is not None:
-            if scene_id is not None:
-                # A scene switch re-labels every verifier's DPVNet: all
-                # slices recount, no footprint gating applies.
-                self._scene_active = True
-                self._mark_touched(registry.all_tenants())
-            else:
-                touched: Set[str] = set()
-                for a, b in links:
-                    touched |= registry.touched_by_link(a, b)
-                self._mark_touched(touched)
+        if scene_id is not None:
+            self._scene_active = True
+        self._route_links(links, recount_all=scene_id is not None)
         start = _schedule_start(network)
         for a, b in links:
             network.change_link(a, b, is_up=False, at=start)
@@ -613,18 +600,8 @@ class TulkunRunner:
         network = self.network
         if network is None:
             raise RuntimeError("deploy/burst_update the network first")
-        registry = self.slice_registry
-        if registry is not None:
-            if self._scene_active:
-                # Deactivating the fault scene restores every verifier's
-                # base labels — all slices recount.
-                self._scene_active = False
-                self._mark_touched(registry.all_tenants())
-            else:
-                touched = set()
-                for a, b in links:
-                    touched |= registry.touched_by_link(a, b)
-                self._mark_touched(touched)
+        recount_all, self._scene_active = self._scene_active, False
+        self._route_links(links, recount_all)
         start = _schedule_start(network)
         for a, b in links:
             network.change_link(a, b, is_up=True, at=start)
@@ -635,32 +612,37 @@ class TulkunRunner:
         finish = network.run()
         return max(0.0, finish - start)
 
+    def _route_links(
+        self, links: Sequence[Tuple[str, str]], recount_all: bool
+    ) -> None:
+        """Slicing router for a link event.  ``recount_all``: the event
+        enters or leaves a fault scene, which re-labels every verifier's
+        DPVNet — all slices recount, no footprint gating applies."""
+        registry = self.slice_registry
+        if recount_all:
+            self._mark_touched(registry.all_tenants())
+            return
+        touched: Set[str] = set()
+        for a, b in links:
+            touched |= registry.touched_by_link(a, b)
+        self._mark_touched(touched)
+
     def statuses(self) -> Dict[str, str]:
         """Per-invariant verdict status, degrading to ``UNKNOWN`` honestly.
 
         Backends without a transport layer (process pool) always converge
         reliably, so their statuses are plain HOLDS/VIOLATED.
 
-        With slicing enabled, only invariants whose slice was touched since
-        the last call are recomputed — and their verdict gathering is
-        scoped to the slice's device footprint.  Untouched invariants are
-        answered from cache, making a statuses sweep O(touched footprint)
-        instead of O(invariants × devices)."""
+        Only invariants whose slice was touched since the last call are
+        recomputed — and their verdict gathering is scoped to the
+        invariant's device footprint.  Untouched invariants are answered
+        from cache, making a statuses sweep O(touched footprint) instead of
+        O(invariants × devices)."""
         network = self.network
         if network is None:
             raise RuntimeError("deploy/burst_update the network first")
         status_of = getattr(network, "invariant_status", None)
         registry = self.slice_registry
-        if registry is None:
-            out: Dict[str, str] = {}
-            for inv in self.invariants:
-                if status_of is not None:
-                    out[inv.name] = status_of(inv.name)
-                else:
-                    out[inv.name] = (
-                        "HOLDS" if network.all_hold(inv.name) else "VIOLATED"
-                    )
-            return out
         cache = self._status_cache
         for name in self._status_dirty:
             footprint = registry.footprint_of(name)
@@ -679,8 +661,7 @@ class TulkunRunner:
     def crash_device(self, dev: str) -> float:
         """Crash a device (serial backend); return the settle duration."""
         network = self._sim_network()
-        if self.slice_registry is not None:
-            self._mark_touched(self.slice_registry.touched_by_lifecycle(dev))
+        self._mark_touched(self.slice_registry.touched_by_lifecycle(dev))
         start = _schedule_start(network)
         network.crash_device(dev, at=start)
         finish = network.run()
@@ -689,8 +670,7 @@ class TulkunRunner:
     def restart_device(self, dev: str) -> float:
         """Restart a crashed device and resync; return the settle duration."""
         network = self._sim_network()
-        if self.slice_registry is not None:
-            self._mark_touched(self.slice_registry.touched_by_lifecycle(dev))
+        self._mark_touched(self.slice_registry.touched_by_lifecycle(dev))
         start = _schedule_start(network)
         network.restart_device(dev, at=start)
         finish = network.run()
@@ -711,8 +691,7 @@ class TulkunRunner:
         network = self._sim_network()
         if dev in self._drained:
             raise SimulationError(f"device {dev!r} is already drained")
-        if self.slice_registry is not None:
-            self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
+        self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
         self._drained[dev] = list(network.devices[dev].plane.rules)
         start = _schedule_start(network)
         network.drain_device(dev, at=start)
@@ -725,9 +704,8 @@ class TulkunRunner:
         saved = self._drained.pop(dev, None)
         if saved is None:
             raise SimulationError(f"device {dev!r} is not drained")
-        if self.slice_registry is not None:
-            self.slice_registry.note_rules(saved)
-            self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
+        self.slice_registry.note_rules(saved)
+        self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
         start = _schedule_start(network)
         network.restore_rules(dev, saved, at=start)
         finish = network.run()

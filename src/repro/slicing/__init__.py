@@ -10,10 +10,13 @@ work at all and their cached verdicts are reused (Chou et al.,
 "Fine-grained Distributed Data Plane Verification with Intent-based
 Slicing").
 
-The routing is *conservative* (over-approximate), which is what makes it
-sound: a slice skipped by the router would provably have processed the
-event into a no-op, so the sliced run converges to byte-identical
-verdicts, violation regions and CIB/LEC state — pinned by
+Every :class:`~repro.sim.runner.TulkunRunner` routes through a registry;
+a deployment that declares no tenants simply makes every invariant its own
+slice.  The routing is *conservative* (over-approximate), which is what
+makes it sound: a slice skipped by the router would provably have processed
+the event into a no-op, so a routed run converges to the verdicts,
+violation regions and CIB/LEC state of one that broadcasts every event to
+every slice, byte for byte — pinned by
 ``tests/test_slicing_differential.py`` across backends and index modes.
 """
 

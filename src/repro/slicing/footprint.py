@@ -33,29 +33,10 @@ __all__ = ["SliceFootprint", "invariant_footprint"]
 
 @dataclass(frozen=True)
 class SliceFootprint:
-    """Immutable footprint of one invariant (or a union over a slice)."""
+    """Immutable footprint of one invariant."""
 
     devices: FrozenSet[str]
     packet_space: Predicate
-
-    def touches_device(self, dev: str) -> bool:
-        return dev in self.devices
-
-    def touches_link(self, a: str, b: str) -> bool:
-        """A link event reaches a slice iff it owns a verifier on either
-        endpoint (off-footprint endpoints host no verifier for it, and a
-        footprint verifier may count packets forwarded toward *any*
-        neighbor, DPVNet member or not)."""
-        return a in self.devices or b in self.devices
-
-    def touches_packets(self, match: Predicate) -> bool:
-        return self.packet_space.overlaps(match)
-
-    def union(self, other: "SliceFootprint") -> "SliceFootprint":
-        return SliceFootprint(
-            devices=self.devices | other.devices,
-            packet_space=self.packet_space | other.packet_space,
-        )
 
 
 def invariant_footprint(invariant: Invariant, task_set: TaskSet) -> SliceFootprint:

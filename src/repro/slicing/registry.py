@@ -1,9 +1,11 @@
 """The slice registry: tenants, footprints and the inverted event index.
 
-One :class:`SliceRegistry` lives on a :class:`~repro.sim.runner.TulkunRunner`
-when slicing is enabled.  It groups deployed invariants into tenant slices,
-keeps each slice's merged footprint, and answers the only question the
-scheduler asks: *which slices does this event touch?*
+Every :class:`~repro.sim.runner.TulkunRunner` owns one
+:class:`SliceRegistry`.  It groups deployed invariants into slices, keeps
+each slice's merged footprint, and answers the only question the scheduler
+asks: *which slices does this event touch?*  A deployment that declares no
+tenants makes every invariant its own slice; one that declares them groups
+invariants into tenant slices.
 
 Routing rules (all conservative over-approximations — see the module doc of
 :mod:`repro.slicing.footprint` for why each is sound):
@@ -19,16 +21,20 @@ Routing rules (all conservative over-approximations — see the module doc of
 * **invariant add/remove** → exactly the named slice.
 
 The inverted index is device-keyed: ``device → slice names``.  Packet
-overlap tests are memoized per ``(match, slice)`` — churn overwhelmingly
-reinstalls known match predicates, so steady state routes with set lookups
-and dictionary hits only.
+overlap tests are memoized per ``(match, slice packet space)`` — churn
+overwhelmingly reinstalls known match predicates, and slices often share a
+packet space, so steady state routes with set lookups and dictionary hits
+only.  The memo holds its matches weakly (an entry dies with the last rule
+holding its match) and is cleared by every BDD sweep, which rewrites the
+node ids both its keys are built from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+import weakref
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
-from repro.bdd.predicate import Predicate
+from repro.bdd.predicate import PacketSpaceContext, Predicate
 from repro.core.invariant import Invariant
 from repro.core.tasks import TaskSet
 from repro.errors import SimulationError
@@ -54,7 +60,7 @@ class Slice:
     def __init__(self, name: str) -> None:
         self.name = name
         self.invariants: Set[str] = set()
-        self.devices: FrozenSetStr = frozenset()
+        self.devices: FrozenSet[str] = frozenset()
         self.packet_space: Optional[Predicate] = None
 
     def rebuild(self, footprints: Mapping[str, SliceFootprint]) -> None:
@@ -74,23 +80,42 @@ class Slice:
         )
 
 
-FrozenSetStr = frozenset
-
-
 class SliceRegistry:
-    """Slices, their footprints, and the event → touched-slices router."""
+    """Slices, their footprints, and the event → touched-slices router.
 
-    def __init__(self, topology: Topology) -> None:
+    ``tenants_declared`` says whether the deployment grouped its invariants
+    into tenants.  Without tenants every invariant is its own slice, named
+    after the invariant, and :meth:`tenant_of` answers ``None``; with them
+    an invariant joins its explicit tenant or, failing that, the
+    ``tenant/name`` prefix convention."""
+
+    def __init__(
+        self, topology: Topology, ctx: PacketSpaceContext, tenants_declared: bool
+    ) -> None:
         self.topology = topology
+        self.tenants_declared = tenants_declared
         self.slices: Dict[str, Slice] = {}
-        self._tenant_of: Dict[str, str] = {}       # invariant -> tenant
+        self._slice_of: Dict[str, str] = {}        # invariant -> slice
         self._footprints: Dict[str, SliceFootprint] = {}
         self._by_device: Dict[str, Set[str]] = {}  # device -> slice names
         # Sticky: a transform rule anywhere disables packet-space gating
         # (SUBSCRIBE can grow verifier interest beyond the packet space).
         self.widened = False
-        # (match predicate, slice name) -> overlap verdict.
-        self._overlap_memo: Dict[Tuple[Predicate, str], bool] = {}
+        # match predicate (held weakly) -> {packet-space node: overlaps}.
+        self._overlap_memo: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
+        # A sweep rewrites predicate node ids, so every memo key goes stale;
+        # the hook refers to the registry weakly, so the BDD manager does
+        # not keep it alive.
+        registry_ref = weakref.ref(self)
+
+        def invalidate() -> None:
+            registry = registry_ref()
+            if registry is not None:
+                registry._overlap_memo.clear()
+
+        ctx.mgr.register_invalidation_hook(invalidate)
 
     # ------------------------------------------------------------------
     # Membership
@@ -101,13 +126,17 @@ class SliceRegistry:
         task_set: TaskSet,
         tenant: Optional[str] = None,
     ) -> str:
-        """Register a deployed invariant under its tenant slice; returns the
-        tenant name.  ``tenant=None`` derives it from the name prefix."""
+        """Register a deployed invariant under its slice; returns the slice
+        name.  ``tenant=None`` derives a declared tenant from the name
+        prefix; without declared tenants the slice is the invariant's own."""
         name = invariant.name
-        if name in self._tenant_of:
+        if name in self._slice_of:
             raise SimulationError(f"invariant {name!r} is already sliced")
-        tenant = tenant if tenant is not None else tenant_of_invariant(name)
-        self._tenant_of[name] = tenant
+        if not self.tenants_declared:
+            tenant = name
+        elif tenant is None:
+            tenant = tenant_of_invariant(name)
+        self._slice_of[name] = tenant
         self._footprints[name] = invariant_footprint(invariant, task_set)
         sl = self.slices.get(tenant)
         if sl is None:
@@ -118,8 +147,8 @@ class SliceRegistry:
 
     def remove_invariant(self, name: str) -> Optional[str]:
         """Drop an invariant; dissolves its slice when it was the last
-        member.  Returns the tenant the invariant belonged to."""
-        tenant = self._tenant_of.pop(name, None)
+        member.  Returns the slice the invariant belonged to."""
+        tenant = self._slice_of.pop(name, None)
         if tenant is None:
             return None
         self._footprints.pop(name, None)
@@ -127,33 +156,24 @@ class SliceRegistry:
         sl.invariants.discard(name)
         if not sl.invariants:
             del self.slices[tenant]
-            self._drop_from_index(tenant)
-        else:
-            self._reindex(sl)
-        self._purge_memo(tenant)
+        self._reindex(sl)
         return tenant
 
     def _reindex(self, sl: Slice) -> None:
-        self._drop_from_index(sl.name)
+        for dev in sl.devices:
+            self._by_device[dev].discard(sl.name)
         sl.rebuild(self._footprints)
         for dev in sl.devices:
             self._by_device.setdefault(dev, set()).add(sl.name)
-        self._purge_memo(sl.name)
-
-    def _drop_from_index(self, tenant: str) -> None:
-        for members in self._by_device.values():
-            members.discard(tenant)
-
-    def _purge_memo(self, tenant: str) -> None:
-        stale = [key for key in self._overlap_memo if key[1] == tenant]
-        for key in stale:
-            del self._overlap_memo[key]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def tenant_of(self, invariant_name: str) -> Optional[str]:
-        return self._tenant_of.get(invariant_name)
+        """The invariant's tenant slice (``None`` without declared tenants)."""
+        if not self.tenants_declared:
+            return None
+        return self._slice_of.get(invariant_name)
 
     def footprint_of(self, invariant_name: str) -> Optional[SliceFootprint]:
         return self._footprints.get(invariant_name)
@@ -168,9 +188,6 @@ class SliceRegistry:
             if sl is not None:
                 out.update(sl.invariants)
         return out
-
-    def slice_count(self) -> int:
-        return len(self.slices)
 
     def device_groups(self) -> List[List[str]]:
         """Connected components of slices that share devices, as sorted
@@ -243,16 +260,15 @@ class SliceRegistry:
             return set()
         if match is None or self.widened:
             return set(candidates)
+        verdicts = self._overlap_memo.get(match)
+        if verdicts is None:
+            verdicts = self._overlap_memo[match] = {}
         touched: Set[str] = set()
-        memo = self._overlap_memo
         for tenant in candidates:
-            key = (match, tenant)
-            hit = memo.get(key)
+            space = self.slices[tenant].packet_space
+            hit = verdicts.get(space.node)
             if hit is None:
-                space = self.slices[tenant].packet_space
-                hit = memo[key] = (
-                    space is not None and space.overlaps(match)
-                )
+                hit = verdicts[space.node] = space.overlaps(match)
             if hit:
                 touched.add(tenant)
         return touched
@@ -262,6 +278,10 @@ class SliceRegistry:
         return set(self._by_device.get(dev, ()))
 
     def touched_by_link(self, a: str, b: str) -> Set[str]:
+        """A link event reaches a slice iff it owns a verifier on either
+        endpoint: off-footprint endpoints host no verifier for it, and a
+        footprint verifier may count packets forwarded toward *any*
+        neighbor, DPVNet member or not."""
         return set(self._by_device.get(a, ())) | set(self._by_device.get(b, ()))
 
     def touched_by_lifecycle(self, dev: str) -> Set[str]:

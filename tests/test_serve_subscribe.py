@@ -9,7 +9,8 @@ Pinned contracts:
   ``bob``'s verdict deltas — ``changed`` is filtered, ``touched`` is
   filtered, and a delta with nothing relevant is suppressed entirely
   (golden-frame pinned on both the filtered and the unfiltered leg).
-  Unsliced deployments keep the exact PR 9 delta shape (no ``touched``).
+  Deployments without declared tenants keep the exact original delta shape
+  (no ``touched``).
 * Backpressure: outbound frames go through a bounded per-client queue —
   when it fills, the frame is dropped and the client's ``dropped`` counter
   flags it (surfaced in the ``stats`` frame's per-client table); a slow

@@ -11,6 +11,8 @@ dirty invariants, and slice-aligned device groups for the process backend.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.library import reachability, waypoint_reachability
 from repro.dataplane import Action, DevicePlane, Rule
 from repro.dataplane.action import Transform
 from repro.errors import SimulationError
+from repro.serve import StreamSession
 from repro.sim import TulkunRunner
 from repro.slicing import SliceRegistry, tenant_of_invariant
 from repro.topology import Topology, fig2a_example
@@ -133,14 +136,42 @@ class TestMembership:
         assert "alice" in registry.slices
         assert registry.remove_invariant("nope") is None
 
-    def test_slices_off_by_default(self):
+    def test_tenants_off_by_default(self):
+        """Routing is always on; without ``slices=`` no tenants are
+        declared: one slice per invariant, no tenant fields on the wire, no
+        tenant admission, and no slice groups for the process pool."""
         ctx = PacketSpaceContext()
         topo = fig2a_example()
         space = ctx.ip_prefix("10.0.0.0/23")
-        runner = TulkunRunner(
-            topo, ctx, [reachability(space, "S", "D")]
-        )
-        assert runner.slice_registry is None
+        invariants = [
+            named(reachability(space, "S", "D"), "alice/s-to-d"),
+            named(waypoint_reachability(space, "S", "W", "D"), "alice/via-w"),
+        ]
+        runner = TulkunRunner(topo, ctx, invariants)
+        registry = runner.slice_registry
+        assert not registry.tenants_declared
+        assert registry.tenants() == ["alice/s-to-d", "alice/via-w"]
+        assert registry.tenant_of("alice/s-to-d") is None
+        rules = {
+            dev: list(plane.rules)
+            for dev, plane in build_fig2_planes(ctx).items()
+        }
+        session = StreamSession(runner, rules)
+        try:
+            session.start()
+            session.handle_line('{"op":"update","device":"A","remove":"A:0"}')
+            (delta,) = session.run_epoch("flush")
+            assert delta["frame"] == "delta" and "touched" not in delta
+            assert session.tenant_of("alice/via-w") == "alice"
+            with pytest.raises(ValueError):
+                StreamSession(runner, rules, max_pending_per_tenant=1)
+        finally:
+            session.close()
+        with TulkunRunner(
+            topo, ctx, invariants, backend="process", workers=2
+        ) as pooled:
+            pooled.burst_update(rules)
+            assert pooled._pool.profile["slice_groups"] is None
 
     def test_unknown_slices_mode_rejected(self):
         ctx = PacketSpaceContext()
@@ -201,7 +232,48 @@ class TestRouting:
         match = ctx.ip_prefix("10.0.0.0/25")
         first = registry.touched_by_update("X2", match)
         assert registry.touched_by_update("X2", match) == first
-        assert (match, "tx") in registry._overlap_memo
+        space = registry.slices["tx"].packet_space
+        assert registry._overlap_memo[match] == {space.node: True}
+
+    def test_overlap_memo_cleared_by_sweep(self):
+        """A BDD sweep rewrites node ids (predicate hashes): the memo is
+        cleared rather than left holding entries under stale hashes."""
+        ctx, _topo, runner = chains_runner()
+        registry = runner.slice_registry
+        junk = ctx.ip_prefix("172.16.0.0/12") & ctx.value("dst_port", 443)
+        match = ctx.ip_prefix("10.0.0.0/25") & ctx.value("dst_port", 80)
+        del junk
+        registry.touched_by_update("X2", match)
+        before = match.node
+        assert ctx.mgr.collect() > 0
+        assert match.node != before  # the hash the entry was filed under
+        assert len(registry._overlap_memo) == 0
+        direct = {
+            name
+            for name in registry.touched_by_rewrite("X2")
+            if registry.slices[name].packet_space.overlaps(match)
+        }
+        assert registry.touched_by_update("X2", match) == direct == {"tx"}
+        assert len(registry._overlap_memo) == 1
+
+    def test_overlap_memo_drops_retired_matches(self):
+        """The memo holds matches weakly: once the last rule holding a
+        match is gone, no entry for it survives a collection."""
+        ctx, _topo, runner = chains_runner()
+        with runner:
+            runner.burst_update(chains_rules(ctx))
+            registry = runner.slice_registry
+            rule = Rule(
+                ctx.ip_prefix("10.0.0.64/26"), Action.forward_all(["X3"]), 99
+            )
+            match_ref = weakref.ref(rule.match)
+            runner.apply_updates([("X2", rule, None)])
+            assert match_ref() in registry._overlap_memo
+            runner.apply_updates([("X2", None, rule.rule_id)])
+            del rule
+            gc.collect()
+            assert match_ref() is None
+            assert len(registry._overlap_memo) == 0
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +340,10 @@ class TestDeviceGroups:
         ctx = PacketSpaceContext()
         topo = chains_topology()
         space = ctx.ip_prefix("10.0.0.0/24")
-        unsliced = TulkunRunner(
+        undeclared = TulkunRunner(
             topo, ctx, [named(reachability(space, "X1", "X3"), "tx/x")]
         )
-        assert unsliced._slice_groups() is None
+        assert undeclared._slice_groups() is None
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +403,7 @@ class TestRunnerWiring:
         with runner, plain:
             runner.burst_update(chains_rules(ctx))
             plain.burst_update(chains_rules(ctx2))
-            # Break the Y chain on the sliced and unsliced legs alike.
+            # Break the Y chain on the declared-tenant and default legs alike.
             for target in (runner, plain):
                 c = target.ctx
                 target.apply_updates(

@@ -1,13 +1,16 @@
-"""Sliced-vs-unsliced differential: routing must never change a verdict.
+"""Routed-vs-broadcast differential: routing must never change a verdict.
 
 Slicing is a pure scheduling optimization — routing events only to the
 slices whose footprint they intersect, caching untouched verdicts — so a
-sliced deployment must produce **byte-identical** outcomes to an unsliced
-one on the same stream: per-invariant statuses, per-ingress verdict flags,
-violation regions (canonical ROBDD bytes) and the full source counting
-state.  Each case draws a seeded multi-tenant request stream, runs it
-through an unsliced batch leg and sliced legs (batch + a random chunking),
-and compares everything.
+routed deployment must produce **byte-identical** outcomes to one that
+broadcasts every event to every slice (:mod:`tests.broadcast`) on the same
+stream: per-invariant statuses, per-ingress verdict flags, violation
+regions (canonical ROBDD bytes) and the full source counting state.  Each
+case draws a seeded multi-tenant request stream, runs it through a
+broadcast batch leg, the declared-tenant legs (batch + a random chunking)
+and the default one-slice-per-invariant leg (another chunking), and
+compares everything.  Every leg's final statuses must also equal a fresh
+deployment of its final FIB and offline Algorithm 1.
 
 Coverage: fig2a multi-tenant streams (explicit tenant mapping, invariant
 churn carrying the wire ``tenant`` field) under both predicate-index modes
@@ -17,6 +20,7 @@ auto slice and with an explicit four-tenant grouping.
 
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -28,6 +32,7 @@ from repro.datasets import build_dataset
 from repro.serve import StreamSession
 from repro.sim import TulkunRunner
 from repro.topology.fileformat import parse_topology_text
+from tests.broadcast import broadcast_routing, final_state_statuses
 from tests.test_serve_differential import (
     FIG2A_KEYS,
     FIG2A_LINKS,
@@ -133,17 +138,32 @@ def run_stream(session_factory, lines, flush_seed=None):
                 session.run_epoch("flush")
         session.run_epoch("final")
         assert not session.pending
-        return collect_outcome(session)
+        outcome = collect_outcome(session)
+        deployed, offline = final_state_statuses(session.runner)
+        assert outcome["statuses"] == deployed == offline
+        return outcome
     finally:
         session.close()
 
 
-def sliced_differential(unsliced_factory, sliced_factory, lines, seed):
-    """The unsliced batch leg vs the sliced legs (batch + one chunking)."""
-    base = run_stream(unsliced_factory, lines)
-    assert_identical(base, run_stream(sliced_factory, lines))
+def sliced_differential(make_session, slices, lines, seed):
+    """The broadcast batch leg vs the declared-tenant legs (batch + one
+    chunking) and the default leg (another chunking)."""
+    def broadcast_session():
+        with broadcast_routing():
+            return make_session(None)
+
+    base = run_stream(broadcast_session, lines)
+    assert_identical(base, run_stream(lambda: make_session(slices), lines))
     assert_identical(
-        base, run_stream(sliced_factory, lines, flush_seed=seed * 23 + 7)
+        base,
+        run_stream(
+            lambda: make_session(slices), lines, flush_seed=seed * 23 + 7
+        ),
+    )
+    assert_identical(
+        base,
+        run_stream(lambda: make_session(None), lines, flush_seed=seed * 29 + 3),
     )
 
 
@@ -154,17 +174,14 @@ class TestFig2aSliced:
     @pytest.mark.parametrize("seed", range(8))
     def test_atoms(self, seed):
         sliced_differential(
-            lambda: fig2a_session(None),
-            lambda: fig2a_session(FIG2A_TENANTS),
-            multi_tenant_stream(seed),
-            seed,
+            fig2a_session, FIG2A_TENANTS, multi_tenant_stream(seed), seed
         )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_bdd_index(self, seed):
         sliced_differential(
-            lambda: fig2a_session(None, predicate_index="bdd"),
-            lambda: fig2a_session(FIG2A_TENANTS, predicate_index="bdd"),
+            partial(fig2a_session, predicate_index="bdd"),
+            FIG2A_TENANTS,
             multi_tenant_stream(seed + 100),
             seed,
         )
@@ -180,26 +197,16 @@ class TestHeavySliced:
     def test_ft4_auto_slices(self, seed):
         """Every FT-4 invariant is its own auto slice (no tenant prefixes):
         the maximally-fragmented routing case."""
-        sliced_differential(
-            lambda: ft4_session(None),
-            lambda: ft4_session("auto"),
-            ft4_stream(seed + 200),
-            seed,
-        )
+        sliced_differential(ft4_session, "auto", ft4_stream(seed + 200), seed)
 
     def test_ft4_explicit_tenants(self):
         mapping = ft4_tenant_mapping()
-        sliced_differential(
-            lambda: ft4_session(None),
-            lambda: ft4_session(mapping),
-            ft4_stream(210),
-            210,
-        )
+        sliced_differential(ft4_session, mapping, ft4_stream(210), 210)
 
     def test_ft4_bdd_index(self):
         sliced_differential(
-            lambda: ft4_session(None, predicate_index="bdd"),
-            lambda: ft4_session("auto", predicate_index="bdd"),
+            partial(ft4_session, predicate_index="bdd"),
+            "auto",
             ft4_stream(220),
             220,
         )
@@ -209,16 +216,16 @@ class TestHeavySliced:
         """Process pool: the sliced leg partitions workers along slice
         device groups and ships ``only`` filters with every update op."""
         sliced_differential(
-            lambda: fig2a_session(None, backend="process"),
-            lambda: fig2a_session(FIG2A_TENANTS, backend="process"),
+            partial(fig2a_session, backend="process"),
+            FIG2A_TENANTS,
             multi_tenant_stream(seed + 300),
             seed,
         )
 
     def test_ft4_process_backend(self):
         sliced_differential(
-            lambda: ft4_session(None, backend="process"),
-            lambda: ft4_session("auto", backend="process"),
+            partial(ft4_session, backend="process"),
+            "auto",
             ft4_stream(310),
             310,
         )
