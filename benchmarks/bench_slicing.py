@@ -119,7 +119,7 @@ def _bench_leg(broadcast, count, num_updates):
             )
             steps.append((ingress, rule))
         # Warmup pass: populates split tables, BDD memos and the registry's
-        # per-(match, packet space) overlap cache; restores the FIB.
+        # lazily built slice handles; restores the FIB.
         for dev, rule in steps:
             runner.apply_updates([(dev, rule, None)])
             runner.statuses()

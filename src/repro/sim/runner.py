@@ -22,7 +22,7 @@ from repro.core.planner import Planner
 from repro.core.tasks import TaskSet
 from repro.dataplane.device import DevicePlane
 from repro.dataplane.rule import Rule
-from repro.errors import SimulationError
+from repro.errors import DataPlaneError, SimulationError
 from repro.sim.network import SimNetwork
 from repro.sim.transport import ChaosConfig, TransportConfig
 from repro.slicing import SliceRegistry
@@ -191,7 +191,9 @@ class TulkunRunner:
                 for inv_name in names:
                     tenant_by_inv[inv_name] = tenant
         self.slice_registry = SliceRegistry(
-            topology, ctx, tenants_declared=slices is not None
+            topology,
+            ctx.carrier(predicate_index),
+            tenants_declared=slices is not None,
         )
         for inv, task_set in zip(self.invariants, self.task_sets):
             self.slice_registry.add_invariant(
@@ -410,28 +412,32 @@ class TulkunRunner:
         """Slicing router for one update burst: per device, the invariant
         names of every slice the device's ops can touch.
 
-        Runs *before* any plane mutation: a removal's match predicate is
-        looked up on the still-unmutated plane; a removal whose rule was
-        installed earlier in the same burst resolves to ``match=None``
-        (conservative: every slice on the device).  Installs carrying a
-        transform action widen the registry first — packet gating is then
-        off for this and every later burst."""
+        Runs *before* any plane mutation and validates the burst on the
+        way: a removal resolves against the burst's own earlier ops, then
+        the still-unmutated plane, so an id installed in neither raises
+        :class:`DataPlaneError` with every plane untouched.  Installs pass
+        through :meth:`SliceRegistry.note_rules` first — a transform action
+        turns packet gating off for this and every later burst."""
         registry = self.slice_registry
-        network = self.network
+        devices = self.network.devices
         touched_all: Set[str] = set()
         slices_by_dev: Dict[str, Set[str]] = {}
+        # (device, rule id) -> the rule the burst leaves there (None: removed)
+        burst: Dict[Tuple[str, int], Optional[Rule]] = {}
         for dev, install, remove_id in updates:
             dev_slices = slices_by_dev.setdefault(dev, set())
             if remove_id is not None:
-                rule = network.devices[dev].plane.get_rule(remove_id)
-                match = rule.match if rule is not None else None
-                dev_slices |= registry.touched_by_update(dev, match)
+                key = (dev, remove_id)
+                rule = burst.get(key, devices[dev].plane.get_rule(remove_id))
+                if rule is None:
+                    raise DataPlaneError(
+                        f"rule {remove_id} not installed on {dev}"
+                    )
+                burst[key] = None
+                dev_slices |= registry.touched_by_update(dev, rule.match)
             if install is not None:
-                if (
-                    not registry.widened
-                    and install.action.transform is not None
-                ):
-                    registry.widen()
+                burst[(dev, install.rule_id)] = install
+                registry.note_rules((install,))
                 dev_slices |= registry.touched_by_update(dev, install.match)
             touched_all |= dev_slices
         self._mark_touched(touched_all)

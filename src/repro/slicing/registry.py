@@ -21,20 +21,18 @@ Routing rules (all conservative over-approximations — see the module doc of
 * **invariant add/remove** → exactly the named slice.
 
 The inverted index is device-keyed: ``device → slice names``.  Packet
-overlap tests are memoized per ``(match, slice packet space)`` — churn
-overwhelmingly reinstalls known match predicates, and slices often share a
-packet space, so steady state routes with set lookups and dictionary hits
-only.  The memo holds its matches weakly (an entry dies with the last rule
-holding its match) and is cleared by every BDD sweep, which rewrites the
-node ids both its keys are built from.
+overlap is tested on the verifiers' region carrier: each slice keeps its
+packet space as a carrier handle (the OR of its members' lifted spaces,
+built at the slice's first routing query, by when the verifiers have
+lifted the same spaces), and a FIB update routes by ``lift(match) &
+word(space)`` — in atoms mode a cached atomize and one int AND per slice.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
 
-from repro.bdd.predicate import PacketSpaceContext, Predicate
+from repro.bdd.predicate import Predicate
 from repro.core.invariant import Invariant
 from repro.core.tasks import TaskSet
 from repro.errors import SimulationError
@@ -61,17 +59,16 @@ class Slice:
         self.name = name
         self.invariants: Set[str] = set()
         self.devices: FrozenSet[str] = frozenset()
-        self.packet_space: Optional[Predicate] = None
+        #: Kept carrier handle of the members' packet-space union; ``None``
+        #: until the slice's first routing query (and after every rebuild).
+        self.space = None
 
     def rebuild(self, footprints: Mapping[str, SliceFootprint]) -> None:
         devices: Set[str] = set()
-        space: Optional[Predicate] = None
         for inv_name in self.invariants:
-            fp = footprints[inv_name]
-            devices.update(fp.devices)
-            space = fp.packet_space if space is None else space | fp.packet_space
+            devices.update(footprints[inv_name].devices)
         self.devices = frozenset(devices)
-        self.packet_space = space
+        self.space = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -87,12 +84,14 @@ class SliceRegistry:
     into tenants.  Without tenants every invariant is its own slice, named
     after the invariant, and :meth:`tenant_of` answers ``None``; with them
     an invariant joins its explicit tenant or, failing that, the
-    ``tenant/name`` prefix convention."""
+    ``tenant/name`` prefix convention.  ``carrier`` is the region carrier
+    the deployment's verifiers run on (``ctx.carrier(predicate_index)``)."""
 
     def __init__(
-        self, topology: Topology, ctx: PacketSpaceContext, tenants_declared: bool
+        self, topology: Topology, carrier, tenants_declared: bool
     ) -> None:
         self.topology = topology
+        self.carrier = carrier
         self.tenants_declared = tenants_declared
         self.slices: Dict[str, Slice] = {}
         self._slice_of: Dict[str, str] = {}        # invariant -> slice
@@ -101,21 +100,6 @@ class SliceRegistry:
         # Sticky: a transform rule anywhere disables packet-space gating
         # (SUBSCRIBE can grow verifier interest beyond the packet space).
         self.widened = False
-        # match predicate (held weakly) -> {packet-space node: overlaps}.
-        self._overlap_memo: weakref.WeakKeyDictionary = (
-            weakref.WeakKeyDictionary()
-        )
-        # A sweep rewrites predicate node ids, so every memo key goes stale;
-        # the hook refers to the registry weakly, so the BDD manager does
-        # not keep it alive.
-        registry_ref = weakref.ref(self)
-
-        def invalidate() -> None:
-            registry = registry_ref()
-            if registry is not None:
-                registry._overlap_memo.clear()
-
-        ctx.mgr.register_invalidation_hook(invalidate)
 
     # ------------------------------------------------------------------
     # Membership
@@ -231,47 +215,48 @@ class SliceRegistry:
         that grew verifier interests beyond their packet spaces, and those
         extensions survive the rule's removal."""
         self.widened = True
-        self._overlap_memo.clear()
 
     def note_rules(self, rules: Iterable) -> None:
-        """Scan rules (e.g. an initial FIB) for transform actions."""
-        if self.widened:
-            return
-        for rule in rules:
-            action = getattr(rule, "action", None)
-            if action is not None and getattr(action, "transform", None) is not None:
-                self.widen()
-                return
+        """Scan rules (an initial FIB, a burst's installs) for transform
+        actions — the one place a transform is recognised."""
+        if not self.widened and any(
+            rule.action.transform is not None for rule in rules
+        ):
+            self.widen()
 
     # ------------------------------------------------------------------
     # Event routing
     # ------------------------------------------------------------------
-    def touched_by_update(
-        self, dev: str, match: Optional[Predicate]
-    ) -> Set[str]:
-        """Slices a rule update on ``dev`` with the given match can reach.
-
-        ``match=None`` means the match predicate could not be resolved
-        (e.g. a removal of a rule installed earlier in the same batch) —
-        packet gating is skipped for that op, device gating still applies.
-        """
+    def touched_by_update(self, dev: str, match: Predicate) -> Set[str]:
+        """Slices a rule update on ``dev`` with the given match can reach."""
         candidates = self._by_device.get(dev)
         if not candidates:
             return set()
-        if match is None or self.widened:
+        if self.widened:
             return set(candidates)
-        verdicts = self._overlap_memo.get(match)
-        if verdicts is None:
-            verdicts = self._overlap_memo[match] = {}
+        carrier = self.carrier
+        word = carrier.word
+        m = carrier.lift(match)
         touched: Set[str] = set()
         for tenant in candidates:
-            space = self.slices[tenant].packet_space
-            hit = verdicts.get(space.node)
-            if hit is None:
-                hit = verdicts[space.node] = space.overlaps(match)
-            if hit:
+            sl = self.slices[tenant]
+            if sl.space is None:
+                sl.space = self._lift_space(sl)
+                m = carrier.resolve(m)  # the lifts may have refined atoms
+            if m & word(sl.space):
                 touched.add(tenant)
         return touched
+
+    def _lift_space(self, sl: Slice):
+        """A slice's packet space as a kept handle: the OR of its members'
+        lifted spaces (each lift may refine atoms, so the running word is
+        resolved after it — a stale word never meets a current one)."""
+        carrier = self.carrier
+        space = carrier.empty
+        for inv_name in sorted(sl.invariants):
+            member = carrier.lift(self._footprints[inv_name].packet_space)
+            space = carrier.resolve(space) | member
+        return carrier.keep(space)
 
     def touched_by_rewrite(self, dev: str) -> Set[str]:
         """Drain/restore: a whole-FIB rewrite touches every packet space."""

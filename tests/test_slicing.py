@@ -11,16 +11,16 @@ dirty invariants, and slice-aligned device groups for the process backend.
 """
 
 import dataclasses
-import gc
-import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import PacketSpaceContext
 from repro.core.library import reachability, waypoint_reachability
 from repro.dataplane import Action, DevicePlane, Rule
 from repro.dataplane.action import Transform
-from repro.errors import SimulationError
+from repro.errors import DataPlaneError, SimulationError
 from repro.serve import StreamSession
 from repro.sim import TulkunRunner
 from repro.slicing import SliceRegistry, tenant_of_invariant
@@ -202,12 +202,6 @@ class TestRouting:
         overlapping = ctx.ip_prefix("10.0.0.128/25")
         assert registry.touched_by_update("X2", overlapping) == {"tx"}
 
-    def test_unresolvable_match_falls_back_to_device_gating(self):
-        ctx, _topo, runner = chains_runner()
-        registry = runner.slice_registry
-        assert registry.touched_by_update("X2", None) == {"tx"}
-        assert registry.touched_by_update("Y1", None) == {"ty"}
-
     def test_link_routes_to_either_endpoint(self):
         _ctx, _topo, runner = chains_runner()
         registry = runner.slice_registry
@@ -226,54 +220,56 @@ class TestRouting:
         assert registry.touched_by_rewrite("X1") == {"tx"}
         assert registry.touched_by_rewrite("Y1") == {"ty"}
 
-    def test_overlap_memo_hits_are_stable(self):
-        ctx, _topo, runner = chains_runner()
-        registry = runner.slice_registry
-        match = ctx.ip_prefix("10.0.0.0/25")
-        first = registry.touched_by_update("X2", match)
-        assert registry.touched_by_update("X2", match) == first
-        space = registry.slices["tx"].packet_space
-        assert registry._overlap_memo[match] == {space.node: True}
-
-    def test_overlap_memo_cleared_by_sweep(self):
-        """A BDD sweep rewrites node ids (predicate hashes): the memo is
-        cleared rather than left holding entries under stale hashes."""
-        ctx, _topo, runner = chains_runner()
-        registry = runner.slice_registry
-        junk = ctx.ip_prefix("172.16.0.0/12") & ctx.value("dst_port", 443)
-        match = ctx.ip_prefix("10.0.0.0/25") & ctx.value("dst_port", 80)
-        del junk
-        registry.touched_by_update("X2", match)
-        before = match.node
-        assert ctx.mgr.collect() > 0
-        assert match.node != before  # the hash the entry was filed under
-        assert len(registry._overlap_memo) == 0
-        direct = {
-            name
-            for name in registry.touched_by_rewrite("X2")
-            if registry.slices[name].packet_space.overlaps(match)
+    @pytest.mark.parametrize("predicate_index", ["atoms", "bdd"])
+    @given(queries=st.lists(
+        st.tuples(
+            st.sampled_from(["X1", "X2", "X3", "Y1", "Y2", "Y3"]),
+            st.sampled_from(["10.0.0.0", "10.0.1.0", "10.0.1.128",
+                             "10.0.0.128", "10.0.0.192", "10.0.3.64",
+                             "192.168.0.0"]),
+            st.integers(min_value=8, max_value=30),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    @settings(max_examples=40, deadline=None)
+    def test_routing_equals_member_overlap(self, predicate_index, queries):
+        """Word routing answers what a BDD overlap test against each
+        member's packet space answers, while matches straddling atom
+        boundaries refine the index between queries and lazily built
+        slice handles, sweeps and compactions move the slots under them."""
+        ctx = PacketSpaceContext()
+        spaces = {
+            "tx/a": ("10.0.0.0/23", "X1", "X3"),
+            "tx/b": ("10.0.1.0/25", "X1", "X3"),
+            "tu/c": ("10.0.0.128/26", "X2", "X3"),
+            "ty/d": ("10.0.0.0/22", "Y1", "Y3"),
         }
-        assert registry.touched_by_update("X2", match) == direct == {"tx"}
-        assert len(registry._overlap_memo) == 1
-
-    def test_overlap_memo_drops_retired_matches(self):
-        """The memo holds matches weakly: once the last rule holding a
-        match is gone, no entry for it survives a collection."""
-        ctx, _topo, runner = chains_runner()
-        with runner:
-            runner.burst_update(chains_rules(ctx))
-            registry = runner.slice_registry
-            rule = Rule(
-                ctx.ip_prefix("10.0.0.64/26"), Action.forward_all(["X3"]), 99
-            )
-            match_ref = weakref.ref(rule.match)
-            runner.apply_updates([("X2", rule, None)])
-            assert match_ref() in registry._overlap_memo
-            runner.apply_updates([("X2", None, rule.rule_id)])
-            del rule
-            gc.collect()
-            assert match_ref() is None
-            assert len(registry._overlap_memo) == 0
+        invariants = [
+            named(reachability(ctx.ip_prefix(cidr), src, dst), name)
+            for name, (cidr, src, dst) in spaces.items()
+        ]
+        runner = TulkunRunner(
+            chains_topology(), ctx, invariants, slices="auto",
+            predicate_index=predicate_index,
+        )
+        registry = runner.slice_registry
+        for dev, base, length, sweep in queries:
+            match = ctx.prefix("dst_ip", base, length)
+            expected = {
+                name
+                for name in registry.touched_by_rewrite(dev)
+                if any(
+                    registry.footprint_of(inv).packet_space.overlaps(match)
+                    for inv in registry.slices[name].invariants
+                )
+            }
+            assert registry.touched_by_update(dev, match) == expected
+            if sweep:
+                del match
+                ctx.mgr.collect()
+                ctx.atom_index().compact()
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +361,56 @@ class TestRunnerWiring:
             statuses = runner.statuses()
             assert statuses == {"tx/x-reach": "HOLDS", "ty/y-reach": "HOLDS"}
             assert runner._status_dirty == set()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_install_then_remove_in_one_burst_routes_by_its_match(
+        self, backend
+    ):
+        ctx, _topo, runner = chains_runner(backend=backend, workers=2)
+        with runner:
+            runner.burst_update(chains_rules(ctx))
+            runner.consume_touched()
+            rule = Rule(
+                ctx.ip_prefix("192.168.0.0/16"), Action.forward_all(["X3"]), 99
+            )
+            runner.apply_updates(
+                [("X2", rule, None), ("X2", None, rule.rule_id)]
+            )
+            # Routed by the rule's (disjoint) match, not by device: no slice.
+            assert runner.consume_touched() == set()
+            assert runner.network.devices["X2"].plane.get_rule(
+                rule.rule_id
+            ) is None
+            assert set(runner.statuses().values()) == {"HOLDS"}
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_unknown_removal_raises_before_any_plane_changes(self, backend):
+        ctx, topo, runner = chains_runner(backend=backend, workers=2)
+        with runner:
+            runner.burst_update(chains_rules(ctx))
+            runner.consume_touched()
+            devices = runner.network.devices
+
+            def rule_ids():
+                return {
+                    dev: sorted(r.rule_id for r in devices[dev].plane.rules)
+                    for dev in topo.devices
+                }
+
+            before = rule_ids()
+            rule = Rule(
+                ctx.ip_prefix("10.0.0.0/25"), Action.forward_all(["X3"]), 99
+            )
+            with pytest.raises(DataPlaneError, match="987654"):
+                runner.apply_updates(
+                    [("X2", rule, None), ("Y2", None, 987654)]
+                )
+            assert rule_ids() == before
+            assert runner.consume_touched() == set()
+            # Nothing was half-applied: the same install now goes through.
+            runner.apply_updates([("X2", rule, None)])
+            assert runner.consume_touched() == {"tx"}
+            assert set(runner.statuses().values()) == {"HOLDS"}
 
     def test_consume_touched_drains(self):
         ctx, _topo, runner = chains_runner()
