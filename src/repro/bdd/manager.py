@@ -900,10 +900,6 @@ class BddManager:
         """True iff ``f`` is a subset of ``g`` as a packet set."""
         return self.apply_diff(f, g) == FALSE
 
-    def equal(self, f: int, g: int) -> bool:
-        """Canonical form makes equality a pointer comparison."""
-        return f == g
-
     def is_false(self, f: int) -> bool:
         return f == FALSE
 
@@ -1220,17 +1216,6 @@ class BddManager:
     # ------------------------------------------------------------------
     # Housekeeping
     # ------------------------------------------------------------------
-    def clear_caches(self) -> None:
-        """Drop operation caches (node table is kept)."""
-        self._and_cache.clear()
-        self._or_cache.clear()
-        self._diff_cache.clear()
-        self._xor_cache.clear()
-        self._ite_cache.clear()
-        self._count_cache.clear()
-        self._exists_cache.clear()
-        self._not_cache = {FALSE: TRUE, TRUE: FALSE}
-
     def profile(self) -> Dict[str, int]:
         """Stats snapshot plus current table / live-node footprint."""
         out = self.stats.snapshot()

@@ -327,14 +327,6 @@ class AtomIndex:
         and LEC text work on raw masks and wrap only what they store."""
         return self._make(mask)
 
-    def from_ids(self, ids: Iterable[int]) -> AtomSet:
-        """AtomSet over raw atom ids the caller read from live sets."""
-        slot_of = self._slot_of
-        mask = 0
-        for aid in ids:
-            mask |= 1 << slot_of[aid]
-        return self._make(mask)
-
     def universe(self) -> AtomSet:
         return self._make(self._leaf_mask)
 
@@ -479,10 +471,6 @@ class AtomIndex:
     def atomize(self, pred: Predicate) -> AtomSet:
         """The AtomSet denoting exactly ``pred``, refining atoms as needed."""
         return self._make(self.atomize_mask(pred))
-
-    def atomize_ids(self, pred: Predicate) -> FrozenSet[int]:
-        """:meth:`atomize` without the AtomSet wrapper: the raw leaf-id set."""
-        return self._ids_of_mask(self.atomize_mask(pred))
 
     def atomize_mask(self, pred: Predicate) -> int:
         """The leaf-slot mask denoting exactly ``pred``.

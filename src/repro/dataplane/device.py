@@ -23,6 +23,7 @@ from repro.dataplane.lec import (
     LecDelta,
     LecTable,
     RuleRow,
+    _rebuild_with_moves,
     compute_lec_table,
     install_into_table,
     remove_from_table,
@@ -159,11 +160,56 @@ class DevicePlane:
 
     def replace_rule(self, rule_id: int, new_rule: Rule) -> List[LecDelta]:
         """Atomically swap a rule (the §2.2.3 'B updates its action' case):
-        either both halves happen or, on a bad id, neither."""
+        either both halves happen or, on a bad id, neither.
+
+        A replace with the old rule's match and priority is a relabel when
+        the row may move to the new rule's place without any effective
+        region changing (see :meth:`_relabel`): the deltas are then the net
+        change — the old rule's effective region changing hands, or none
+        for an equal action.  Any other replace is remove + install."""
+        old = self._installed(rule_id)
         if new_rule.rule_id != rule_id:
             self._require_free(new_rule.rule_id)
+        if new_rule.priority == old.priority and new_rule.match == old.match:
+            deltas = self._relabel(old, new_rule)
+            if deltas is not None:
+                return deltas
         deltas = self.remove_rule(rule_id)
         deltas.extend(self.install_rule(new_rule))
+        return deltas
+
+    def _relabel(self, old: Rule, new_rule: Rule) -> Optional[List[LecDelta]]:
+        """Give ``old``'s row to ``new_rule`` (same match and priority), or
+        return ``None`` when that would change some effective region.
+
+        The rows between the old and the new bisect position all have this
+        priority (``sort_key`` is ``(-priority, -rule_id)``); when each is
+        disjoint from the match — one word AND per row — moving the row
+        across them changes no first-match outcome."""
+        table = self.lec_table()
+        rows = self._books()
+        src = bisect_left(rows, old.sort_key(), key=_row_key)
+        dst = bisect_left(rows, new_rule.sort_key(), key=_row_key)
+        row = rows[src]
+        word = self.carrier.word
+        match = word(row.match)
+        between = rows[dst:src] if dst <= src else rows[src + 1:dst]
+        for other in between:
+            if match & word(other.match):
+                return None
+        if dst > src:
+            dst -= 1  # the row leaves its old place before it lands
+        rows.insert(dst, rows.pop(src))
+        row.rule = new_rule
+        del self._rules[old.rule_id]
+        self._rules[new_rule.rule_id] = new_rule
+        effective = word(row.effective)
+        if old.action == new_rule.action or not effective:
+            return []  # the table, and so the epoch, is untouched
+        self._lec_cache, deltas = _rebuild_with_moves(
+            table, {(old.action, new_rule.action): effective}
+        )
+        self.epoch += 1
         return deltas
 
     def discard_rule(self, rule_id: int) -> None:

@@ -412,10 +412,23 @@ class ParallelNetwork:
         the in-batch order).
 
         ``only`` restricts the workers' LEC-delta hand-off to the named
-        invariants (slicing: untouched verifiers provably no-op)."""
-        for kind, arg in ops:
+        invariants (slicing: untouched verifiers provably no-op).
+
+        A remove immediately followed by an install ships as one update,
+        which the worker applies as one ``replace_rule`` (the serial
+        backend's pairing)."""
+        i, n = 0, len(ops)
+        while i < n:
+            kind, arg = ops[i]
+            i += 1
             if kind == "remove":
-                self.apply_rule_update(dev, at, remove_rule_id=arg, only=only)
+                install = None
+                if i < n and ops[i][0] == "install":
+                    install = ops[i][1]
+                    i += 1
+                self.apply_rule_update(
+                    dev, at, install=install, remove_rule_id=arg, only=only
+                )
             elif kind == "install":
                 self.apply_rule_update(dev, at, install=arg, only=only)
             else:

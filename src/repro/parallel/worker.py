@@ -281,12 +281,13 @@ class VerifierHost:
         the slicing scheduler's routing verdict, shipped with the op."""
         for dev, install_payload, remove_rule_id, only in updates:
             plane = self.planes[dev]
-            deltas = []
-            if remove_rule_id is not None:
-                deltas.extend(plane.remove_rule(remove_rule_id))
-            if install_payload is not None:
+            if install_payload is None:
+                deltas = plane.remove_rule(remove_rule_id)
+            elif remove_rule_id is None:
+                deltas = plane.install_rule(self._unship_update(install_payload))
+            else:
                 rule = self._unship_update(install_payload)
-                deltas.extend(plane.install_rule(rule))
+                deltas = plane.replace_rule(remove_rule_id, rule)
             for invariant, verifier in self._by_dev.get(dev, ()):
                 if only is not None and invariant not in only:
                     continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from math import frexp as _frexp
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.predicate import PacketSpaceContext
@@ -98,7 +99,15 @@ class SimDevice:
         metrics.events_processed += 1
         metrics.busy_time += cost
         if record_message_cost:
-            metrics.message_costs.append(cost)
+            # CostAggregate.add, inlined: this runs once per handler event.
+            costs = metrics.message_costs
+            costs.count += 1
+            costs.total += cost
+            if cost > costs.max:
+                costs.max = cost
+            mantissa, exponent = _frexp(cost)
+            key = exponent * 16 + int(mantissa * 16)
+            costs.buckets[key] = costs.buckets.get(key, 0) + 1
         if record_init_cost:
             metrics.init_cost += cost
         self.network.note_activity(finish)
@@ -419,7 +428,15 @@ class SimNetwork:
             metrics = self.metrics.device(dev)
             metrics.events_processed += 1
             metrics.busy_time += cost
-            metrics.message_costs.append(cost)
+            # CostAggregate.add, inlined as in SimDevice.process.
+            costs = metrics.message_costs
+            costs.count += 1
+            costs.total += cost
+            if cost > costs.max:
+                costs.max = cost
+            mantissa, exponent = _frexp(cost)
+            key = exponent * 16 + int(mantissa * 16)
+            costs.buckets[key] = costs.buckets.get(key, 0) + 1
             self.note_activity(finish)
             if self.tracer is not None:
                 self.tracer.task_span(dev, label, None, start, finish)
@@ -461,15 +478,26 @@ class SimNetwork:
 
         ``only`` restricts the LEC-delta hand-off to the named invariants
         (slicing: untouched verifiers provably no-op on these deltas).
+
+        A remove immediately followed by an install is one
+        :meth:`DevicePlane.replace_rule`, so a same-match replace hands the
+        verifiers its net LEC change (none for a same-action refresh).
         """
         if dev not in self.devices:
             raise SimulationError(f"unknown device {dev!r}")
 
         def mutate(plane) -> list:
             deltas = []
-            for kind, arg in ops:
+            i, n = 0, len(ops)
+            while i < n:
+                kind, arg = ops[i]
+                i += 1
                 if kind == "remove":
-                    deltas.extend(plane.remove_rule(arg))
+                    if i < n and ops[i][0] == "install":
+                        deltas.extend(plane.replace_rule(arg, ops[i][1]))
+                        i += 1
+                    else:
+                        deltas.extend(plane.remove_rule(arg))
                 elif kind == "install":
                     deltas.extend(plane.install_rule(arg))
                 else:

@@ -15,6 +15,12 @@ from tests.conftest import packet
 from tests.test_lec import rule_set
 
 CARRIERS = ("bdd", "atoms")
+ACTIONS = (
+    Action.drop(),
+    Action.forward_all(["A"]),
+    Action.forward_all(["B"]),
+    Action.forward_any(["A", "B"]),
+)
 
 
 class TestInstallRemove:
@@ -168,9 +174,51 @@ class TestValidateBeforeMutate:
         old = Rule(ctx.ip_prefix("10.0.0.0/24"), Action.forward_all(["A"]), 24)
         plane = plane_on(ctx, carrier_name, [old])
         same_id = Rule(old.match, Action.forward_all(["B"]), 24, old.rule_id)
-        (out, back) = plane.replace_rule(old.rule_id, same_id)
-        assert (out.old_action, back.new_action) == (old.action, same_id.action)
+        (delta,) = plane.replace_rule(old.rule_id, same_id)  # one net delta
+        assert (delta.old_action, delta.new_action) == (old.action, same_id.action)
+        assert delta.predicate == old.match
         assert plane.get_rule(old.rule_id) is same_id
+
+
+@pytest.mark.parametrize("carrier_name", CARRIERS)
+class TestRelabel:
+    """A replace with the old match and priority moves the row and returns
+    the net change when no row it jumps overlaps the match."""
+
+    def test_refresh_leaves_the_table_alone(self, ctx, carrier_name):
+        rules = fib_257(ctx)
+        plane = plane_on(ctx, carrier_name, rules)
+        plane.install_rule(clone(rules[9]))  # books and table built
+        table, epoch = plane.lec_table(), plane.epoch
+        fresh = clone(rules[5])
+        assert plane.replace_rule(rules[5].rule_id, fresh) == []
+        assert plane.lec_table() is table and plane.epoch == epoch
+        assert plane.get_rule(fresh.rule_id) is fresh
+        assert plane.get_rule(rules[5].rule_id) is None
+
+    def test_row_jumps_disjoint_siblings(self, ctx, carrier_name):
+        old = Rule(ctx.ip_prefix("10.0.0.0/24"), Action.forward_all(["A"]), 24)
+        sibling = Rule(ctx.ip_prefix("10.0.1.0/24"), Action.forward_all(["B"]), 24)
+        plane = plane_on(ctx, carrier_name, [old, sibling])
+        new = clone(old, Action.forward_all(["C"]))
+        (delta,) = plane.replace_rule(old.rule_id, new)
+        assert (delta.old_action, delta.new_action) == (old.action, new.action)
+        assert delta.predicate == old.match
+        assert plane.rules == [new, sibling]
+
+    def test_overlapping_sibling_falls_back(self, ctx, carrier_name):
+        old = Rule(ctx.ip_prefix("10.0.0.0/16"), Action.forward_all(["A"]), 16)
+        wide = Rule(ctx.ip_prefix("10.0.0.0/8"), Action.forward_all(["B"]), 16)
+        plane = plane_on(ctx, carrier_name, [old, wide])
+        before = plane.lec_table()
+        new = clone(old, Action.forward_all(["C"]))
+        deltas = plane.replace_rule(old.rule_id, new)
+        # The newer id now wins the /16 its older twin lost to ``wide``.
+        assert plane.rules == [new, wide]
+        assert wire(deltas) == wire(diff_lec_tables(before, plane.lec_table()))
+        assert [(d.old_action, d.new_action) for d in deltas] == [
+            (wide.action, new.action)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -198,9 +246,28 @@ def net_deltas(ctx, deltas):
     }
 
 
+def relabel_applies(rules, victim, new_id):
+    """Whether a same-match replace of ``victim`` by id ``new_id`` is a
+    relabel: every equal-priority rule whose id lies between the two (the
+    rows the row jumps) is disjoint from the match."""
+    lo, hi = sorted((victim.rule_id, new_id))
+    return not any(
+        rule.priority == victim.priority
+        and lo < rule.rule_id < hi
+        and not (rule.match & victim.match).is_empty
+        for rule in rules.values()
+    )
+
+
 def run_plane_ops(ctx, pool, carrier_name, seed, steps):
     """Random table mutations with engine GC and atom compaction forced
-    between steps; after each, order, table and deltas match the oracle."""
+    between steps; after each, order, table and deltas match the oracle.
+
+    ``sibling`` installs an equal-priority rule overlapping or disjoint
+    from an installed one, and ``relabel`` replaces a rule (preferably one
+    with newer such siblings) by one with its match and priority — same
+    action, another action, or the same id — so both the row jump and the
+    remove + install fallback of ``replace_rule`` run."""
     rng = random.Random(seed)
     plane = plane_on(ctx, carrier_name)
     rules = {}  # the model: rule id -> Rule
@@ -208,20 +275,52 @@ def run_plane_ops(ctx, pool, carrier_name, seed, steps):
     def fresh():
         return clone(rng.choice(pool))
 
+    def with_newer_siblings():  # the rules a fresh id jumps over
+        return sorted(
+            rid for rid, rule in rules.items()
+            if any(
+                other.priority == rule.priority and other.rule_id > rid
+                for other in rules.values()
+            )
+        )
+
     for _ in range(steps):
         before = compute_lec_table(ctx, list(rules.values()))
         ops = ["install", "install_many"] if pool and len(rules) < 8 else []
         if rules:
-            ops += ["remove", "discard", "clear"]
+            ops += ["remove", "discard", "clear", "relabel", "relabel"]
             if pool:
                 ops += ["replace", "replace"]
+            if len(rules) < 8:
+                ops += ["sibling"]
         if not ops:
             return
         op = rng.choice(ops)
         deltas = None
+        net = False  # the deltas must be net as returned
         if op == "install":
             rule = fresh()
             deltas = plane.install_rule(rule)
+            rules[rule.rule_id] = rule
+        elif op == "sibling":
+            kin = rules[rng.choice(sorted(rules))]
+            match = kin.match if rng.random() < 0.3 else ctx.universe - kin.match
+            action = rng.choice(pool).action if pool else kin.action
+            rule = Rule(match, action, kin.priority)
+            deltas = plane.install_rule(rule)
+            rules[rule.rule_id] = rule
+        elif op == "relabel":
+            victim = rules.pop(rng.choice(with_newer_siblings() or sorted(rules)))
+            variant = rng.choice(("same", "other", "same_id"))
+            if variant == "same":
+                rule = clone(victim)
+            elif variant == "other":
+                rule = clone(victim, rng.choice(ACTIONS))
+            else:
+                rule = Rule(victim.match, rng.choice(ACTIONS), victim.priority,
+                            victim.rule_id)
+            net = relabel_applies(rules, victim, rule.rule_id)
+            deltas = plane.replace_rule(victim.rule_id, rule)
             rules[rule.rule_id] = rule
         elif op == "install_many":
             batch = [fresh() for _ in range(rng.randint(0, 3))]
@@ -248,10 +347,17 @@ def run_plane_ops(ctx, pool, carrier_name, seed, steps):
         after = compute_lec_table(ctx, ordered)
         assert by_action(plane.lec_table()) == by_action(after)
         if deltas is not None:
-            assert net_deltas(ctx, deltas) == {
+            oracle = {
                 (d.old_action, d.new_action): d.predicate
                 for d in diff_lec_tables(before, after)
             }
+            assert net_deltas(ctx, deltas) == oracle
+        if net:
+            assert all(d.old_action != d.new_action for d in deltas)
+            assert len(deltas) == len(oracle) <= 1
+            assert {
+                (d.old_action, d.new_action): d.predicate for d in deltas
+            } == oracle
 
 
 @pytest.mark.parametrize("carrier_name", CARRIERS)

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.metrics import DeviceMetrics, MetricsCollector, cdf_points, percentile
+from repro.sim.metrics import (
+    CostAggregate,
+    DeviceMetrics,
+    MetricsCollector,
+    cdf_points,
+    percentile,
+)
 
 
 class TestPercentile:
@@ -35,6 +41,35 @@ class TestPercentile:
         assert percentile(values, 0.2) <= percentile(values, 0.8)
 
 
+class TestCostAggregate:
+    @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=40),
+           st.floats(0, 1))
+    @settings(max_examples=100, deadline=None)
+    def test_quantile_is_the_nearest_rank_within_a_bucket(self, values, q):
+        costs = CostAggregate()
+        for value in values:
+            costs.add(value)
+        ordered = sorted(values)
+        nearest = ordered[int(q * (len(values) - 1))]
+        assert abs(costs.quantile(q) - nearest) <= nearest / 16
+        assert costs.quantile(q) <= costs.max == ordered[-1]
+        assert sum(costs.buckets.values()) == costs.count == len(values)
+
+    def test_zero_costs_read_back_as_zero(self):
+        costs = CostAggregate()
+        for value in (0.0, 0.0, 0.25):
+            costs.add(value)
+        assert costs.quantile(0.5) == 0.0
+        assert costs.quantile(1.0) == 0.25
+
+    def test_memory_follows_the_span_not_the_count(self):
+        costs = CostAggregate()
+        for i in range(10_000):
+            costs.add(1e-4 * (1 + i % 100) / 100)
+        assert costs.count == 10_000
+        assert len(costs.buckets) <= 8 * 7  # 1e-6 .. 1e-4 s: < 7 octaves
+
+
 class TestCdf:
     def test_points(self):
         points = cdf_points([3.0, 1.0, 2.0])
@@ -58,13 +93,19 @@ class TestCollector:
         b = collector.device("b")
         a.messages_sent = 3
         a.bytes_sent = 100
-        a.message_costs = [0.1, 0.2]
+        for cost in (0.1, 0.2):
+            a.message_costs.add(cost)
         b.messages_sent = 2
         b.bytes_sent = 50
-        b.message_costs = [0.3]
+        b.message_costs.add(0.3)
         assert collector.total_messages() == 5
         assert collector.total_bytes() == 150
-        assert sorted(collector.all_message_costs()) == [0.1, 0.2, 0.3]
+        costs = collector.message_costs()
+        assert (costs.count, costs.max) == (3, 0.3)
+        assert costs.total == pytest.approx(0.6)
+        assert costs.quantile(0.5) == pytest.approx(0.2, rel=1 / 16)
+        assert costs.quantile(1.0) == 0.3
+        assert a.message_costs.count == 2  # the merge copies, never moves
 
     def test_cpu_load(self):
         metrics = DeviceMetrics("x", busy_time=0.5)

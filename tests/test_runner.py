@@ -71,6 +71,26 @@ class TestIncremental:
         assert all(t >= 0 for t in result.times)
         assert result.quantile(0.8) >= result.quantile(0.2)
 
+    def test_handler_costs_land_in_the_fixed_memory_aggregate(self, inet2):
+        """Both inlined handler loops (DVM messages, rule updates) keep
+        every device's cost aggregate consistent."""
+        runner = TulkunRunner(inet2.topology, inet2.ctx, inet2.invariants)
+        runner.burst_update(fresh_rules(inet2))
+        planes = {
+            d: runner.network.devices[d].plane for d in inet2.topology.devices
+        }
+        intents = random_update_intents(inet2.topology, planes, 5, seed=9)
+        apply_intents(runner, intents)
+        metrics = runner.network.metrics
+        for device in metrics.devices.values():
+            costs = device.message_costs
+            assert sum(costs.buckets.values()) == costs.count
+            assert costs.count <= device.events_processed
+            assert costs.max <= costs.total <= device.busy_time * (1 + 1e-9)
+        merged = metrics.message_costs()
+        assert merged.count > 0
+        assert merged.quantile(0.5) <= merged.quantile(1.0) == merged.max
+
     def test_restore_returns_to_green(self, inet2):
         runner = TulkunRunner(inet2.topology, inet2.ctx, inet2.invariants)
         runner.burst_update(fresh_rules(inet2))
@@ -211,6 +231,41 @@ class TestDirectIncrementalApi:
         )
         assert len(result.times) == 2
         assert all(t >= 0 for t in result.times)
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_same_action_refresh_hands_over_no_deltas(inet2, backend, monkeypatch):
+    """An epoch of same-match, same-action replaces is a relabel on every
+    plane: each gated verifier is handed no LEC delta (process backend: in
+    the forked workers, where a delta would fail the command) and no
+    status moves."""
+    from repro.core.verifier import OnDeviceVerifier
+
+    real = OnDeviceVerifier.handle_lec_deltas
+    calls = []
+
+    def no_deltas(verifier, deltas):
+        assert not deltas, "a same-action refresh handed over LEC deltas"
+        calls.append(verifier)
+        return real(verifier, deltas)
+
+    # Patched before the workers fork; the burst hands over no deltas.
+    monkeypatch.setattr(OnDeviceVerifier, "handle_lec_deltas", no_deltas)
+    with TulkunRunner(
+        inet2.topology, inet2.ctx, inet2.invariants, backend=backend, workers=2
+    ) as runner:
+        runner.burst_update(fresh_rules(inet2))
+        before = runner.statuses()
+        del calls[:]
+        refresh = []
+        for dev in sorted(inet2.rules_by_device):
+            for rule in runner.network.devices[dev].plane.rules[:3]:
+                clone = Rule(rule.match, rule.action, rule.priority)
+                refresh.append((dev, clone, rule.rule_id))
+        runner.apply_updates(refresh)
+        assert runner.statuses() == before
+        if backend == "serial":
+            assert calls  # the gated verifiers did run, on nothing
 
 
 class TestAddInvariants:
