@@ -29,11 +29,12 @@ from repro.core.planner import Planner
 from repro.datasets import build_dataset
 
 TOPOLOGIES = {
+    "smoke": ["INet2", "FT-4"],
     "small": ["INet2", "B4-13", "FT-4"],
     "large": ["INet2", "B4-13", "STFD", "AT1-1", "BTNA", "FT-4", "NGDC"],
 }
-MAX_K = {"small": 2, "large": 3}
-MAX_SCENES = {"small": 60, "large": None}
+MAX_K = {"smoke": 1, "small": 2, "large": 3}
+MAX_SCENES = {"smoke": 20, "small": 60, "large": None}
 
 
 def _invariant(ds, k):

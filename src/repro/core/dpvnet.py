@@ -17,7 +17,8 @@ Two constructions are provided:
   suffix sharing, used for ``loop_free`` behaviors and symbolic length
   filters (``== shortest`` etc.), where path-dependent constraints make the
   plain product unsound.  The paper leans on the same observation to keep
-  DPVNets small: operators want limited-hop paths, and there are few.
+  DPVNets small: operators want limited-hop paths, and there are few.  The
+  search is pruned by each prefix's product distance to acceptance.
 
 Both produce identical counting semantics; the test suite cross-checks them.
 """
@@ -25,13 +26,29 @@ Both produce identical counting semantics; the test suite cross-checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.automata.dfa import Dfa
 from repro.errors import PlannerError
 from repro.topology.graph import Topology
 
-__all__ = ["DpvNode", "DpvNet", "build_product_dpvnet", "build_enumeration_dpvnet"]
+__all__ = [
+    "DpvNode",
+    "DpvNet",
+    "accept_distances",
+    "build_product_dpvnet",
+    "build_enumeration_dpvnet",
+]
 
 
 @dataclass
@@ -192,7 +209,8 @@ def _prune_and_build(
     arity: int,
 ) -> DpvNet:
     """Drop nodes that cannot reach an accepting node or be reached from a
-    source, then materialize the DpvNet."""
+    source, then materialize the DpvNet with ids ``0..n-1`` in raw-id
+    order."""
     # Backward reachability from accepting nodes.
     reverse: Dict[int, List[int]] = {nid: [] for nid in raw_nodes}
     for src, targets in raw_edges.items():
@@ -217,21 +235,20 @@ def _prune_and_build(
             if child in useful and child not in reachable:
                 reachable.add(child)
                 stack.append(child)
-    keep = useful & reachable
+    # Dense ids by rank, walked in raw-id order: the net depends only on the
+    # kept nodes' relative order, never on their raw ids or a set's layout.
+    rank = {nid: i for i, nid in enumerate(sorted(useful & reachable))}
 
     nodes: Dict[int, DpvNode] = {}
-    for nid in keep:
+    for nid, new in rank.items():
         dev, accept = raw_nodes[nid]
-        nodes[nid] = DpvNode(nid, dev, accept)
-    for nid in keep:
+        nodes[new] = DpvNode(new, dev, accept)
+    for nid, new in rank.items():
         for child in raw_edges.get(nid, ()):
-            if child in keep:
-                nodes[nid].children.append(child)
-                nodes[child].parents.append(nid)
-    sources = {
-        ingress: (nid if nid in keep else None)
-        for ingress, nid in raw_sources.items()
-    }
+            if child in rank:
+                nodes[new].children.append(rank[child])
+                nodes[rank[child]].parents.append(new)
+    sources = {ingress: rank.get(nid) for ingress, nid in raw_sources.items()}
     return DpvNet(nodes, sources, arity)
 
 
@@ -433,12 +450,42 @@ def _is_acyclic(
 # ----------------------------------------------------------------------
 # Simple-path enumeration construction
 # ----------------------------------------------------------------------
+def accept_distances(dfa: Dfa, topology: Topology) -> Dict[Tuple[int, str], int]:
+    """Fewest links from ``(state, device)`` to an accepting state of
+    ``dfa`` in the DFA × topology product (§4.1), ignoring simplicity and
+    length filters.  A pair absent from the table never reaches acceptance
+    (the dead state, for one).
+
+    One backward BFS seeded at every accepting state on every device."""
+    index = dfa.symbol_index
+    # (device, target) -> states that step into ``target`` on ``device``.
+    into: Dict[Tuple[str, int], List[int]] = {}
+    for dev in topology.devices:
+        column = index[dev]
+        for state, row in enumerate(dfa.transitions):
+            into.setdefault((dev, row[column]), []).append(state)
+    frontier = [(state, dev) for state in dfa.accepting for dev in topology.devices]
+    dist = {pair: 0 for pair in frontier}
+    hops = 0
+    while frontier:
+        hops += 1
+        reached: List[Tuple[int, str]] = []
+        for target, dev in frontier:
+            for state in into.get((dev, target), ()):
+                for prev in topology.neighbors(dev):
+                    if (state, prev) not in dist:
+                        dist[(state, prev)] = hops
+                        reached.append((state, prev))
+        frontier = reached
+    return dist
+
+
 def build_enumeration_dpvnet(
     topology: Topology,
     dfas: Sequence[Dfa],
     ingresses: Sequence[str],
     accept_path,
-    max_hops: int,
+    max_hops: Union[int, Mapping[str, int]],
     simple_only: bool = True,
 ) -> DpvNet:
     """Enumerate (simple) matching paths and build the suffix-shared DAG.
@@ -446,18 +493,33 @@ def build_enumeration_dpvnet(
     ``accept_path(atom_index, ingress, path) -> bool`` refines automaton
     acceptance with path-dependent checks (length filters, including the
     symbolic ``shortest`` ones).  ``max_hops`` bounds the search depth in
-    links.
+    links, for every ingress or per ingress.
+
+    The search is goal-directed: a prefix is not extended to a device from
+    which no component DFA can reach acceptance within the remaining hops
+    (:func:`accept_distances`).  The bound ignores simplicity and length
+    filters, so it only cuts prefixes that could never end an accepted
+    path; the survivors keep their relative order, and the dense ids of
+    :func:`_prune_and_build` make the net exactly the one the unpruned
+    search would build.
     """
     if not dfas:
         raise PlannerError("need at least one automaton")
     arity = len(dfas)
     start_states = tuple(dfa.start for dfa in dfas)
+    dists = [accept_distances(dfa, topology) for dfa in dfas]
+    neighbors = {dev: topology.neighbors(dev) for dev in topology.devices}
 
     def step(states: Tuple[int, ...], dev: str) -> Tuple[int, ...]:
         return tuple(dfa.step(state, dev) for dfa, state in zip(dfas, states))
 
-    def all_dead(states: Tuple[int, ...]) -> bool:
-        return all(dfa.is_dead(state) for dfa, state in zip(dfas, states))
+    def reaches_acceptance(states: Tuple[int, ...], dev: str, budget: int) -> bool:
+        """Some component accepts within ``budget`` more links."""
+        for dist, state in zip(dists, states):
+            hops = dist.get((state, dev))
+            if hops is not None and hops <= budget:
+                return True
+        return False
 
     # Trie of explored prefixes.  Node 0 is a virtual pre-ingress root.
     trie_children: List[Dict[str, int]] = [{}]
@@ -478,8 +540,9 @@ def build_enumeration_dpvnet(
     for ingress in ingresses:
         if not topology.has_device(ingress):
             raise PlannerError(f"ingress {ingress!r} not in topology")
+        bound = max_hops if isinstance(max_hops, int) else max_hops[ingress]
         states = step(start_states, ingress)
-        if all_dead(states):
+        if not reaches_acceptance(states, ingress, bound):
             continue
         root = trie_get(0, ingress)
         raw_sources[ingress] = root
@@ -491,13 +554,14 @@ def build_enumeration_dpvnet(
             for i, (dfa, state) in enumerate(zip(dfas, cur_states)):
                 if state in dfa.accepting and accept_path(i, ingress, path):
                     trie_accept[tnode][i] = True
-            if len(path) - 1 >= max_hops:
+            budget = bound - len(path)  # links left after one more hop
+            if budget < 0:
                 continue
-            for neighbor in topology.neighbors(dev):
+            for neighbor in neighbors[dev]:
                 if simple_only and neighbor in path:
                     continue
                 nxt = step(cur_states, neighbor)
-                if all_dead(nxt):
+                if not reaches_acceptance(nxt, neighbor, budget):
                     continue
                 child = trie_get(tnode, neighbor)
                 stack.append((child, neighbor, nxt, path + (neighbor,)))

@@ -313,28 +313,30 @@ def _merge_labeled_paths(
         else:
             replacement[tid] = existing
 
+    # Dense ids by rank of the kept trie ids, as every DPVNet numbers them.
     keep = sorted(set(replacement[tid] for tid in order if trie_dev[tid] is not None))
+    rank = {tid: i for i, tid in enumerate(keep)}
     nodes: Dict[int, DpvNode] = {}
     edge_scenes: Dict[Tuple[int, int], FrozenSet[int]] = {}
     accept_scenes: Dict[Tuple[int, int], FrozenSet[int]] = {}
-    for tid in keep:
+    for tid, nid in rank.items():
         accept_vec = tuple(bool(s) for s in trie_accept[tid])
-        nodes[tid] = DpvNode(tid, trie_dev[tid], accept_vec)
+        nodes[nid] = DpvNode(nid, trie_dev[tid], accept_vec)
         for i, scene_set in enumerate(trie_accept[tid]):
             if scene_set:
-                accept_scenes[(tid, i)] = frozenset(scene_set)
-    for tid in keep:
+                accept_scenes[(nid, i)] = frozenset(scene_set)
+    for tid, nid in rank.items():
         merged_children: Dict[int, Set[int]] = {}
         for child, scene_set in trie_edge_scenes[tid].items():
-            target = replacement[child]
+            target = rank[replacement[child]]
             merged_children.setdefault(target, set()).update(scene_set)
         for target, scene_set in sorted(merged_children.items()):
-            nodes[tid].children.append(target)
-            nodes[target].parents.append(tid)
-            edge_scenes[(tid, target)] = frozenset(scene_set)
+            nodes[nid].children.append(target)
+            nodes[target].parents.append(nid)
+            edge_scenes[(nid, target)] = frozenset(scene_set)
 
     sources = {
-        ingress: (replacement[root] if root is not None else None)
+        ingress: (rank[replacement[root]] if root is not None else None)
         for ingress, root in roots.items()
     }
     net = DpvNet(nodes, sources, arity)

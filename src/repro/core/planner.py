@@ -114,36 +114,52 @@ class Planner:
                     return False
             return True
 
-        max_hops = self._max_hops_bound(topo, atoms, ingresses)
+        max_hops = self._max_hops_bound(topo, atoms, dfas, ingresses)
         simple = any(atom.path.simple_only for atom in atoms)
         return build_enumeration_dpvnet(
             topo, dfas, ingresses, accept_path, max_hops, simple_only=simple
         )
 
     def _max_hops_bound(
-        self, topo: Topology, atoms: Sequence[Atom], ingresses: Sequence[str]
-    ) -> int:
-        """Smallest safe search depth implied by the length filters."""
+        self,
+        topo: Topology,
+        atoms: Sequence[Atom],
+        dfas: Sequence[Dfa],
+        ingresses: Sequence[str],
+    ) -> Dict[str, int]:
+        """Per ingress, the smallest safe search depth the length filters
+        imply.
+
+        A symbolic ``shortest+k`` filter bounds a path by the shortest-hop
+        distance from its ingress to its last device, and an accepted path
+        can only end on a device where the atom's DFA steps into acceptance
+        (for ``S .* D``, only ``D``): the worst case is taken over those."""
         fallback = topo.num_devices - 1
-        bounds: List[int] = []
-        for atom in atoms:
-            atom_bound = fallback
-            for filt in atom.path.length_filters:
-                if filt.op in ("<=", "<", "=="):
+        ends = [
+            {
+                dfa.alphabet[column]
+                for row in dfa.transitions
+                for column, target in enumerate(row)
+                if target in dfa.accepting
+            }
+            for dfa in dfas
+        ]
+        bounds: Dict[str, int] = {}
+        for ingress in ingresses:
+            atom_bounds: List[int] = []
+            for atom, atom_ends in zip(atoms, ends):
+                atom_bound = fallback
+                for filt in atom.path.length_filters:
+                    if filt.op not in ("<=", "<", "=="):
+                        continue
+                    worst = None
                     if filt.symbolic:
-                        # shortest+offset: bound by the worst shortest-path
-                        # distance over all (ingress, device) pairs.
-                        worst = 0
-                        for ingress in ingresses:
-                            for dev in topo.devices:
-                                hops = topo.shortest_hops(ingress, dev)
-                                if hops is not None:
-                                    worst = max(worst, hops)
-                        atom_bound = min(atom_bound, filt.max_hops(worst, fallback))
-                    else:
-                        atom_bound = min(atom_bound, filt.max_hops(None, fallback))
-            bounds.append(atom_bound)
-        return max(bounds) if bounds else fallback
+                        hops = [topo.shortest_hops(ingress, end) for end in atom_ends]
+                        worst = max((h for h in hops if h is not None), default=0)
+                    atom_bound = min(atom_bound, filt.max_hops(worst, fallback))
+                atom_bounds.append(atom_bound)
+            bounds[ingress] = max(atom_bounds)
+        return bounds
 
     def plan(
         self,

@@ -611,9 +611,7 @@ class TulkunRunner:
         start = _schedule_start(network)
         for a, b in links:
             network.change_link(a, b, is_up=True, at=start)
-        if any(
-            ts for ts in self.task_sets
-        ):
+        if recount_all:  # leaving a fault scene: back to the base labels
             network.activate_scene(None, at=start + self._flood_latency())
         finish = network.run()
         return max(0.0, finish - start)

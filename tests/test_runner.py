@@ -268,6 +268,66 @@ def test_same_action_refresh_hands_over_no_deltas(inet2, backend, monkeypatch):
             assert calls  # the gated verifiers did run, on nothing
 
 
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_link_up_outside_a_scene_switches_no_scene(inet2, backend, monkeypatch):
+    """A link failure and recovery with no fault scene active processes no
+    scene event: no verifier is asked to switch scenes (process backend: in
+    the forked workers, where the call would fail the command)."""
+    from repro.core.verifier import OnDeviceVerifier
+
+    def no_scene(verifier, scene_id):
+        raise AssertionError("a link-up outside a fault scene switched scenes")
+
+    monkeypatch.setattr(OnDeviceVerifier, "activate_scene", no_scene)
+    with TulkunRunner(
+        inet2.topology, inet2.ctx, inet2.invariants, backend=backend, workers=2
+    ) as runner:
+        runner.burst_update(fresh_rules(inet2))
+        before = runner.statuses()
+        link = next(iter(inet2.topology.links())).endpoints()
+        runner.fail_links([link])
+        runner.recover_links([link])
+        assert runner.statuses() == before
+
+
+def test_scene_exit_returns_every_verifier_to_the_base_labels(
+    ctx, fig2a, monkeypatch
+):
+    """Recovering the links of an active fault scene still switches every
+    verifier back to the base scene."""
+    from repro.core.fault import compute_fault_plan
+    from repro.core.invariant import FaultSpec
+    from repro.core.library import reachability
+    from repro.core.planner import Planner
+    from repro.core.verifier import OnDeviceVerifier
+    from tests.conftest import build_fig2_planes
+
+    inv = reachability(
+        ctx.ip_prefix("10.0.0.0/23"), "S", "D",
+        fault_spec=FaultSpec.up_to(1), max_extra_hops=1,
+    )
+    plan = compute_fault_plan(Planner(fig2a, ctx), inv)
+    runner = TulkunRunner(fig2a, ctx, [inv], prebuilt_nets={inv.name: plan.net})
+    runner.burst_update(
+        {dev: [Rule(r.match, r.action, r.priority) for r in plane.rules]
+         for dev, plane in build_fig2_planes(ctx).items()}
+    )
+    switched = []
+    real = OnDeviceVerifier.activate_scene
+
+    def spy(verifier, scene_id):
+        switched.append(scene_id)
+        return real(verifier, scene_id)
+
+    monkeypatch.setattr(OnDeviceVerifier, "activate_scene", spy)
+    scene = plan.scene_for([("W", "D")])
+    runner.fail_links([("W", "D")], scene_id=scene.scene_id)
+    verifiers = len(switched)
+    assert verifiers and set(switched) == {scene.scene_id}
+    runner.recover_links([("W", "D")])
+    assert switched[verifiers:] == [None] * verifiers
+
+
 class TestAddInvariants:
     def _tenant_runner(self):
         from benchmarks.e2e.workloads import tenant_invariants
