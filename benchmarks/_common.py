@@ -67,6 +67,7 @@ def record_trajectory(path: Path, record: dict, key_fields: Sequence[str]) -> No
 
 # Datasets exercised per figure at each scale: (name, pair_limit, multiplier)
 BURST_DATASETS = {
+    "smoke": [("INet2", 4, 1), ("FT-4", 4, 1)],
     "small": [
         ("INet2", 12, 8),
         ("B4-13", 12, 4),
@@ -95,6 +96,7 @@ BURST_DATASETS = {
 }
 
 INCREMENTAL_DATASETS = {
+    "smoke": [("INet2", 4, 1)],
     "small": [("INet2", 10, 8), ("B4-13", 10, 4), ("STFD", 10, 4)],
     "large": [
         ("INet2", 16, 16), ("B4-13", 16, 8), ("STFD", 16, 8),

@@ -14,6 +14,7 @@ from benchmarks._common import SCALE, dataset_for, print_header, print_row, run_
 from repro.sim import percentile
 
 DATASETS = {
+    "smoke": [("FT-4", 4, 1)],
     "small": [("INet2", 12, 8), ("FT-4", 16, 4)],
     "large": [("INet2", None, 16), ("STFD", 24, 8), ("FT-4", 32, 8), ("NGDC", 24, 4)],
 }

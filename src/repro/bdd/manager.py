@@ -897,8 +897,57 @@ class BddManager:
     # Derived predicates
     # ------------------------------------------------------------------
     def implies(self, f: int, g: int) -> bool:
-        """True iff ``f`` is a subset of ``g`` as a packet set."""
-        return self.apply_diff(f, g) == FALSE
+        """True iff ``f`` is a subset of ``g`` as a packet set.
+
+        A walk over node pairs that stops at the first path where ``f``
+        holds and ``g`` does not; it allocates no node and fills no cache
+        (``apply_diff(f, g) == FALSE`` would build the whole difference).
+        """
+        if f == FALSE or g == TRUE or f == g:
+            return True
+        if g == FALSE or f == TRUE:
+            return False
+        var = self._var
+        low = self._low
+        high = self._high
+        seen: Set[int] = set()
+        frames = [(f, g)]
+        while frames:
+            x, y = frames.pop()
+            k = (x << 32) | y
+            if k in seen:
+                continue
+            seen.add(k)
+            vx = var[x]
+            vy = var[y]
+            if vx <= vy:
+                x0 = low[x]
+                x1 = high[x]
+            else:
+                x0 = x1 = x
+            if vy <= vx:
+                y0 = low[y]
+                y1 = high[y]
+            else:
+                y0 = y1 = y
+            for a, b in ((x0, y0), (x1, y1)):
+                if a == FALSE or b == TRUE or a == b:
+                    continue
+                if b == FALSE or a == TRUE:
+                    return False
+                frames.append((a, b))
+        return True
+
+    def evaluate(self, node: int, point: Dict[int, bool]) -> bool:
+        """Whether the assignment ``point`` satisfies ``node`` (variables it
+        does not mention are False).  One root-to-terminal path; allocates
+        nothing."""
+        var = self._var
+        low = self._low
+        high = self._high
+        while node > TRUE:
+            node = high[node] if point.get(var[node]) else low[node]
+        return node == TRUE
 
     def is_false(self, f: int) -> bool:
         return f == FALSE

@@ -133,6 +133,7 @@ class BddCarrier:
     """
 
     lift = lower = resolve = keep = word = staticmethod(_same)
+    lift_partition = staticmethod(list)
 
     def __init__(self, ctx: "PacketSpaceContext") -> None:
         self.empty = ctx.empty

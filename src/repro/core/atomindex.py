@@ -56,7 +56,16 @@ from __future__ import annotations
 
 import weakref
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bdd.manager import FALSE
 from repro.bdd.predicate import PacketSpaceContext, Predicate
@@ -519,6 +528,51 @@ class AtomIndex:
         self._atomize_cache[node] = out
         return out
 
+    def atomize_partition(self, preds: Sequence[Predicate]) -> List[int]:
+        """Leaf-slot masks of predicates that partition the universe.
+
+        The masks :meth:`atomize_mask` gives each predicate in turn (the
+        same common refinement, so the same atom count; only the split
+        order and the fresh ids differ), from one forest walk instead of
+        one per predicate.  The predicates are disjoint and cover every
+        packet, so one witness of a node's extent (``pick_one``, with
+        unmentioned variables False) lies in exactly one of them, found by
+        evaluating each at that point — no allocation.  If the extent
+        implies that predicate, the whole subtree is its own; otherwise the
+        walk descends, and a straddling leaf is split along it, its outside
+        half pushed back to be placed in turn.  So every ``apply_and`` of
+        the walk is a split.
+        """
+        cache = self._atomize_cache
+        if all(pred.node in cache for pred in preds):
+            return [self.atomize_mask(pred) for pred in preds]
+        self.atomize_calls += len(preds)
+        mgr = self.ctx.mgr
+        evaluate, implies, apply_and = mgr.evaluate, mgr.implies, mgr.apply_and
+        extent = self._extent
+        children = self._children
+        nodes = [pred.node for pred in preds]
+        out = [0] * len(nodes)
+        stack = [_ROOT]
+        while stack:
+            aid = stack.pop()
+            ext_node = extent[aid].node
+            point = mgr.pick_one(ext_node)
+            i = next(i for i, cls in enumerate(nodes) if evaluate(cls, point))
+            if implies(ext_node, nodes[i]):
+                out[i] |= self._subtree_leaf_mask(aid)
+                continue
+            kids = children.get(aid)
+            if kids is not None:
+                stack.extend(kids)
+            else:
+                c1 = self._split(aid, apply_and(ext_node, nodes[i]))
+                out[i] |= 1 << self._slot_of[c1]
+                stack.append(children[aid][1])
+        for node, mask in zip(nodes, out):
+            cache[node] = mask
+        return out
+
     # ------------------------------------------------------------------
     # Boundary conversions
     # ------------------------------------------------------------------
@@ -731,7 +785,9 @@ class MaskCarrier:
     :class:`~repro.bdd.predicate.BddCarrier`):
 
     * ``lift`` / ``lower`` cross the wire/verdict boundary (canonical
-      :class:`Predicate` ↔ word);
+      :class:`Predicate` ↔ word); ``lift_partition`` lifts a list of
+      predicates that partition the universe (a LEC table's classes) in
+      one forest walk;
     * ``resolve`` renormalizes a word after anything that may have refined
       the forest (``lift``, ``image``, ``preimage``) — stale and current
       words must never meet under ``&`` or ``& ~``;
@@ -749,6 +805,7 @@ class MaskCarrier:
 
     def __init__(self, index: AtomIndex) -> None:
         self.lift = index.atomize_mask
+        self.lift_partition = index.atomize_partition
         self.lower = index.mask_to_predicate
         self.resolve = index._resolve_mask
         self.keep = index.from_mask

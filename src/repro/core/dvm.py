@@ -24,6 +24,17 @@ from repro.errors import ProtocolError
 __all__ = ["UpdateMessage", "SubscribeMessage", "DvmMessage", "wire_size"]
 
 
+def _varint_size(value: int) -> int:
+    """Bytes of ``value`` as an unsigned LEB128 varint."""
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
+def _blob_size(pred: Predicate) -> int:
+    """Bytes of a predicate blob: varint length + BDD stream."""
+    n = len(serialize_predicate(pred))
+    return n + _varint_size(n)
+
+
 @dataclass(frozen=True)
 class UpdateMessage:
     """Counting-result transfer along one DPVNet link, child to parent.
@@ -55,20 +66,31 @@ class UpdateMessage:
             )
 
     def wire_size(self) -> int:
-        """Approximate encoded size in bytes (BDD bytes + 8 per count).
+        """Exact length of :func:`repro.core.wire.encode_message`'s bytes.
 
-        Serializing the BDDs dominates the cost, and every message is sized
-        at least twice (sender and receiver accounting), so the result is
-        memoized — messages are immutable.
+        Computed from the varint lengths and the predicates' stream lengths
+        (the codec memoizes those), without encoding the message.  Every
+        message is sized at least twice (sender and receiver accounting),
+        so the result is memoized — messages are immutable.
         """
         cached = self.__dict__.get("_wire_size")
         if cached is not None:
             return cached
-        size = 16  # link ids + header
-        size += len(serialize_predicate(self.withdrawn))
-        for pred, cs in self.results:
-            size += len(serialize_predicate(pred))
-            size += 8 * sum(len(vec) for vec in cs) + 4
+        parent, child = self.intended_link
+        results = self.results
+        size = (
+            1  # message type
+            + _varint_size(parent)
+            + _varint_size(child)
+            + _blob_size(self.withdrawn)
+            + _varint_size(len(results))
+        )
+        for pred, cs in results:
+            size += _blob_size(pred) + _varint_size(len(cs))
+            for vec in cs:
+                size += _varint_size(len(vec))
+                for c in vec:  # _varint_size, inlined on the hot loop
+                    size += 1 if c < 0x80 else (c.bit_length() + 6) // 7
         self.__dict__["_wire_size"] = size
         return size
 
@@ -89,10 +111,13 @@ class SubscribeMessage:
     def wire_size(self) -> int:
         cached = self.__dict__.get("_wire_size")
         if cached is None:
+            parent, child = self.intended_link
             cached = (
-                16
-                + len(serialize_predicate(self.pred_from))
-                + len(serialize_predicate(self.pred_to))
+                1  # message type
+                + _varint_size(parent)
+                + _varint_size(child)
+                + _blob_size(self.pred_from)
+                + _blob_size(self.pred_to)
             )
             self.__dict__["_wire_size"] = cached
         return cached

@@ -248,11 +248,13 @@ class DevicePlane:
         if table is None:
             table = compute_lec_table(self.ctx, self.rules, carrier)
         elif table.carrier is not carrier:
-            lift, keep = carrier.lift, carrier.keep
+            entries = table.entries()
+            words = carrier.lift_partition([pred for pred, _ in entries])
+            keep = carrier.keep
             table = LecTable(
                 self.ctx,
                 carrier,
-                [(keep(lift(pred)), action) for pred, action in table.entries()],
+                [(keep(w), action) for w, (_, action) in zip(words, entries)],
             )
         self._lec_cache = table
         return table

@@ -159,7 +159,9 @@ def compute_lec_table(
     The first-match sweep runs on BDD nodes whichever ``carrier`` (default:
     the reference one) the table is for; only the resulting per-action
     classes are lifted, which is what installs the table's class boundaries
-    into the carrier — a from-scratch build is a refinement point."""
+    into the carrier — a from-scratch build is a refinement point.  The
+    classes partition packet space, so they are lifted together, as one
+    partition (one refinement-forest walk on the atom carrier)."""
     entries: Dict[Action, int] = {}
     mgr = ctx.mgr
     remaining = ctx.universe.node
@@ -179,11 +181,10 @@ def compute_lec_table(
         entries[drop] = mgr.apply_or(entries.get(drop, 0), remaining)
     if carrier is None:
         carrier = ctx.carrier("bdd")
-    lift, keep = carrier.lift, carrier.keep
+    keep = carrier.keep
+    words = carrier.lift_partition([ctx.wrap(n) for n in entries.values()])
     return LecTable(
-        ctx,
-        carrier,
-        [(keep(lift(ctx.wrap(node))), action) for action, node in entries.items()],
+        ctx, carrier, [(keep(w), action) for w, action in zip(words, entries)]
     )
 
 

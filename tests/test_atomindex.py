@@ -10,7 +10,10 @@ DVM hot path:
 * splits never change what an existing AtomSet denotes, and its O(1) hash
   survives both splits and merges (the XOR-token invariant);
 * ``compact`` merges sibling atoms no live set distinguishes, and engine
-  GC sweeps keep the conversion caches consistent.
+  GC sweeps keep the conversion caches consistent;
+* lifting a partition in one walk (``atomize_partition``) refines exactly
+  as lifting its classes one at a time, and every conjunction it makes is
+  a split.
 """
 
 import gc as pygc
@@ -20,7 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import HeaderLayout, PacketSpaceContext
+from repro.bdd.serialize import serialize_predicate
 from repro.core.atomindex import AtomIndex, AtomSet
+from repro.dataplane import Action, Rule
+from repro.dataplane.lec import compute_lec_table
 
 
 def small_ctx():
@@ -300,3 +306,120 @@ class TestResolveFastPath:
         before = index.resolves
         a.mask()
         assert index.resolves == before
+
+
+# ----------------------------------------------------------------------
+# Lifting a LEC table's classes as one partition
+# ----------------------------------------------------------------------
+def fib_ctx():
+    return PacketSpaceContext(HeaderLayout([("dst_ip", 8), ("dst_port", 4)]))
+
+
+#: One rule as plain data: (prefix base, prefix length, port or None,
+#: action kind, priority) — built into a context by :func:`lec_classes`.
+rule_specs = st.lists(
+    st.tuples(
+        st.integers(0, 255),
+        st.integers(0, 8),
+        st.one_of(st.none(), st.integers(0, 15)),
+        st.integers(0, 3),
+        st.integers(0, 8),
+    ),
+    max_size=8,
+)
+
+
+def lec_classes(ctx, specs):
+    """The per-action classes of a prioritized prefix/port rule list."""
+    rules = []
+    for base, length, port, kind, priority in specs:
+        match = ctx.prefix("dst_ip", base, length)
+        if port is not None:
+            match = match & ctx.value("dst_port", port)
+        if kind == 0:
+            action = Action.drop()
+        else:
+            action = Action.forward_all(["ABC"[kind - 1]])
+        rules.append(Rule(match, action, priority))
+    return [pred for pred, _action in compute_lec_table(ctx, rules).entries()]
+
+
+SAMPLE_FIB = [
+    (0x0A, 8, None, 1, 8),
+    (0x00, 4, 3, 2, 4),
+    (0x80, 1, None, 3, 1),
+    (0x0B, 8, 7, 0, 8),
+    (0x40, 2, None, 1, 2),
+]
+
+
+class TestAtomizePartition:
+    @given(st.lists(st.tuples(rule_specs, st.booleans(), st.booleans()),
+                    min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_walk_refines_as_per_class_lifts(self, builds):
+        """Twin contexts see the same builds: one lifts each table with
+        ``atomize_partition``, the other class by class with
+        ``atomize_mask``.  Engine sweeps and compactions may run between
+        builds; every table stays alive, as a device's does."""
+        walk_ctx, each_ctx = fib_ctx(), fib_ctx()
+        walk, each = walk_ctx.atom_index(), each_ctx.atom_index()
+        kept = []
+        for specs, collect, compact in builds:
+            for ctx in (walk_ctx, each_ctx):
+                if collect:
+                    ctx.mgr.collect()
+                if compact:
+                    ctx.atom_index().compact()
+            masks = walk.atomize_partition(lec_classes(walk_ctx, specs))
+            each_classes = lec_classes(each_ctx, specs)
+            each_masks = [each.atomize_mask(pred) for pred in each_classes]
+            assert walk.num_atoms == each.num_atoms
+            lowered = [walk.mask_to_predicate(m) for m in masks]
+            each_lowered = [each.mask_to_predicate(m) for m in each_masks]
+            assert list(map(serialize_predicate, lowered)) == list(
+                map(serialize_predicate, each_lowered)
+            )
+            union = 0
+            for mask in masks:
+                assert mask and not mask & union
+                union |= mask
+            assert union == walk._leaf_mask
+            kept.append([walk.from_mask(m) for m in masks])
+            kept.append([each.from_mask(m) for m in each_masks])
+
+    def test_relifting_a_refined_partition_allocates_nothing(self):
+        ctx = fib_ctx()
+        index = ctx.atom_index()
+        classes = lec_classes(ctx, SAMPLE_FIB)
+        first = index.atomize_partition(classes)
+        mgr = ctx.mgr
+        before = (mgr.stats.ops_and, mgr.node_count(), index.splits)
+        for cached in (True, False):
+            if not cached:
+                index._atomize_cache.clear()  # force the forest walk
+            assert index.atomize_partition(classes) == first
+            after = (mgr.stats.ops_and, mgr.node_count(), index.splits)
+            assert after == before
+
+    def test_every_conjunction_is_a_split(self):
+        ctx = fib_ctx()
+        index = ctx.atom_index()
+        # A refined forest first, so the walk meets inner nodes as well as
+        # leaves on both sides of the new boundaries.
+        index.atomize_partition(lec_classes(ctx, SAMPLE_FIB[:2]))
+        classes = lec_classes(ctx, SAMPLE_FIB)
+        ops, splits = ctx.mgr.stats.ops_and, index.splits
+        index.atomize_partition(classes)
+        assert index.splits > splits
+        assert ctx.mgr.stats.ops_and - ops == index.splits - splits
+
+    def test_seeds_the_atomize_cache(self):
+        ctx = fib_ctx()
+        index = ctx.atom_index()
+        classes = lec_classes(ctx, SAMPLE_FIB)
+        masks = index.atomize_partition(classes)
+        hits, ops = index.atomize_hits, ctx.mgr.stats.ops_and
+        assert [index.atomize_mask(pred) for pred in classes] == masks
+        assert index.atomize_hits == hits + len(classes)
+        assert ctx.mgr.stats.ops_and == ops

@@ -234,6 +234,39 @@ class TestPropertyBased:
         assert mgr.count(xor) == count
 
     @given(boolean_expr(), boolean_expr())
+    @settings(max_examples=150, deadline=None)
+    def test_implies_is_an_empty_difference(self, e1, e2):
+        mgr = BddManager(5)
+        a, b = _to_bdd(mgr, e1), _to_bdd(mgr, e2)
+        for f, g in ((a, b), (b, a), (a, mgr.apply_or(a, b))):
+            implied = mgr.implies(f, g)
+            assert implied == (mgr.apply_diff(f, g) == FALSE)
+
+    @given(boolean_expr(), boolean_expr())
+    @settings(max_examples=100, deadline=None)
+    def test_implies_allocates_nothing(self, e1, e2):
+        mgr = BddManager(5)
+        a, b = _to_bdd(mgr, e1), _to_bdd(mgr, e2)
+        nodes, ops = mgr.node_count(), mgr.stats.total_ops()
+        mgr.implies(a, b)
+        mgr.implies(b, a)
+        assert (mgr.node_count(), mgr.stats.total_ops()) == (nodes, ops)
+        assert not mgr._diff_cache
+
+    @given(boolean_expr())
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate_agrees_with_truth_table(self, expr):
+        mgr = BddManager(5)
+        node = _to_bdd(mgr, expr)
+        nodes = mgr.node_count()
+        for bits in range(32):
+            assignment = [(bits >> (4 - i)) & 1 == 1 for i in range(5)]
+            # Variables the point leaves out are False.
+            point = {i: True for i, bit in enumerate(assignment) if bit}
+            assert mgr.evaluate(node, point) == _eval(expr, assignment)
+        assert mgr.node_count() == nodes
+
+    @given(boolean_expr(), boolean_expr())
     @settings(max_examples=100, deadline=None)
     def test_commutative_caches_normalize(self, e1, e2):
         mgr = BddManager(5)

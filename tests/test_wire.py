@@ -1,4 +1,5 @@
-"""DVM byte codec: roundtrips, cross-context decoding, error handling."""
+"""DVM byte codec: roundtrips, cross-context decoding, exact message sizes,
+error handling."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,11 @@ from repro.bdd import HeaderLayout, PacketSpaceContext
 from repro.core.dvm import SubscribeMessage, UpdateMessage
 from repro.core.wire import decode_message, encode_message
 from repro.errors import SerializationError
+from tests.test_predicate_index_parity import (
+    fattree_outcome,
+    fig2_outcome,
+    transform_outcome,
+)
 
 
 class TestUpdateRoundtrip:
@@ -76,6 +82,60 @@ class TestSubscribeRoundtrip:
         back = decode_message(ctx, encode_message(message))
         assert isinstance(back, SubscribeMessage)
         assert back == message
+
+
+@pytest.fixture
+def sized(monkeypatch):
+    """Every DVM message the simulator sizes, by identity."""
+    seen = {}
+    for cls in (UpdateMessage, SubscribeMessage):
+        def wire_size(self, _size=cls.wire_size):
+            seen[id(self)] = self
+            return _size(self)
+
+        monkeypatch.setattr(cls, "wire_size", wire_size)
+    return seen
+
+
+class TestWireSize:
+    """``wire_size`` is the exact length of the encoded bytes."""
+
+    @given(
+        st.integers(0, 1 << 21),
+        st.integers(0, 1 << 21),
+        st.lists(
+            st.lists(st.integers(0, 1 << 15), min_size=0, max_size=4),
+            min_size=1, max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_encoding(self, parent, child, vectors):
+        ctx = PacketSpaceContext(HeaderLayout.dst_only())
+        pred = ctx.prefix("dst_ip", 10 << 24, 8)
+        countset = tuple(sorted({tuple(vec) for vec in vectors}))
+        update = UpdateMessage((parent, child), pred, ((pred, countset),))
+        assert update.wire_size() == len(encode_message(update))
+        subscribe = SubscribeMessage((parent, child), pred, ctx.universe)
+        assert subscribe.wire_size() == len(encode_message(subscribe))
+
+    @pytest.mark.parametrize("predicate_index", ["atoms", "bdd"])
+    @pytest.mark.parametrize("scenario", ["fig2a", "FT-4"])
+    def test_every_burst_message(self, sized, scenario, predicate_index):
+        if scenario == "fig2a":
+            fig2_outcome(predicate_index)
+        else:
+            fattree_outcome(predicate_index, "serial")
+        assert sized
+        for message in sized.values():
+            assert message.wire_size() == len(encode_message(message))
+
+    def test_subscribe_of_a_transform(self, sized):
+        _checkpoints, subscribes, _gc = transform_outcome("atoms")
+        assert subscribes
+        kinds = {type(message) for message in sized.values()}
+        assert SubscribeMessage in kinds
+        for message in sized.values():
+            assert message.wire_size() == len(encode_message(message))
 
 
 class TestErrors:
