@@ -107,7 +107,6 @@ def test_parallel_speedup_ft8(benchmark):
                 "routed_messages": metrics.routed_messages,
                 "routed_bytes": metrics.routed_bytes,
                 "cut_links": parallel.network.cut_links,
-                "shared_memory": parallel.network.pool.use_shm,
                 "verdict_parity": (
                     parallel_result.holds == serial_result.holds
                 ),

@@ -216,7 +216,6 @@ def cmd_simulate(args) -> int:
             predicate_index=args.predicate_index,
             chaos=chaos,
             tracer=tracer,
-            use_shm=not args.no_shm,
         )
     except ValueError as exc:  # e.g. --chaos with --backend process
         print(f"error: {exc}", file=sys.stderr)
@@ -536,7 +535,6 @@ def cmd_serve(args) -> int:
             gc_threshold=args.gc_threshold,
             predicate_index=args.predicate_index,
             tracer=tracer,
-            use_shm=not args.no_shm,
             slices="auto" if args.slices else None,
         )
         session = StreamSession(
@@ -689,12 +687,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--workers", type=int, default=None,
         help="worker processes for --backend process (default: cores, max 4)",
-    )
-    p_sim.add_argument(
-        "--no-shm", action="store_true",
-        help="--backend process: ship cross-worker DVM frames inline over "
-             "the command pipes instead of shared-memory rings (the "
-             "fallback lane; bytes and verdicts are identical)",
     )
     p_sim.add_argument(
         "--profile", action="store_true",
@@ -876,7 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
              "crash/drain ops); process = multiprocessing worker pool",
     )
     p_serve.add_argument("--workers", type=int, default=None)
-    p_serve.add_argument("--no-shm", action="store_true")
     p_serve.add_argument("--gc-threshold", type=int, default=None)
     p_serve.add_argument(
         "--predicate-index", choices=("atoms", "bdd"), default="atoms",

@@ -399,19 +399,6 @@ class AtomIndex:
     # ------------------------------------------------------------------
     # Refinement
     # ------------------------------------------------------------------
-    def _leaves_of(self, aid: int) -> List[int]:
-        out: List[int] = []
-        stack = [aid]
-        children = self._children
-        while stack:
-            a = stack.pop()
-            kids = children.get(a)
-            if kids is None:
-                out.append(a)
-            else:
-                stack.extend(kids)
-        return out
-
     def _subtree_leaf_mask(self, aid: int) -> int:
         """Leaf-slot mask of the whole subtree under ``aid``.
 

@@ -11,11 +11,11 @@ planes while their BDD contexts stay warm.
 
 Cross-worker DVM traffic is routed **without barriers**: every command sent
 to a worker produces exactly one reply carrying that worker's outbound
-frames (packed atom-id runs, :mod:`repro.parallel.atomwire`, riding a
-shared-memory ring).  The coordinator forwards each frame to its destination
-worker as soon as that worker is idle — a fast worker keeps receiving while
-a slow one is still computing.  Quiescence is credit-counted: the network is
-quiet exactly when no command is outstanding and no frame is pending.
+messages, each as :mod:`repro.core.wire` bytes on the command pipe.  The
+coordinator forwards them to their destination worker as soon as that
+worker is idle — a fast worker keeps receiving while a slow one is still
+computing.  Quiescence is credit-counted: the network is quiet exactly when
+no command is outstanding and no message is pending.
 
 Results are pulled **lazily**: ``run`` only marks state dirty; the first
 verdict/metric accessor triggers a delta collect in which workers ship just
@@ -95,11 +95,9 @@ class ParallelNetwork:
         task_sets: Sequence[TaskSet],
         cpu_scale: float = 1.0,
         num_workers: Optional[int] = None,
-        partition_strategy: str = "locality",
         gc_threshold: Optional[int] = None,
         predicate_index: str = "atoms",
         pool: Optional[WorkerPool] = None,
-        use_shm: bool = True,
         tracer=None,
         slice_groups: Optional[Sequence[Sequence[str]]] = None,
     ) -> None:
@@ -113,17 +111,16 @@ class ParallelNetwork:
 
         ``slice_groups`` (slice-footprint components from
         :meth:`repro.slicing.SliceRegistry.device_groups`) switches the
-        partition to the slice-aligned strategy: each component stays whole
-        on one worker, so disjoint-footprint slices are verified by
-        different shard workers with no cross-worker DVM traffic between
-        them."""
+        partition from locality clusters to slice-aligned: each component
+        stays whole on one worker, so disjoint-footprint slices are
+        verified by different shard workers with no cross-worker DVM
+        traffic between them."""
         self.topology = topology
         self.ctx = ctx
         self.task_sets = list(task_sets)
         self.cpu_scale = cpu_scale  # interface parity; wall time is real here
         self.gc_threshold = gc_threshold  # per-worker BDD GC trigger
         self.predicate_index = predicate_index  # worker region representation
-        self.use_shm = use_shm
         self.kernel = _KernelShim(self)
         self.metrics = MetricsCollector()
         self.failed_links: Set[Tuple[str, str]] = set()
@@ -133,15 +130,9 @@ class ParallelNetwork:
         devices = sorted(topology.devices)
         workers = num_workers if num_workers else default_worker_count()
         self.num_workers = max(1, min(workers, len(devices)))
-        if slice_groups is not None:
-            self.assignment = partition_devices(
-                topology, self.num_workers, strategy="slices",
-                groups=slice_groups,
-            )
-        else:
-            self.assignment = partition_devices(
-                topology, self.num_workers, strategy=partition_strategy
-            )
+        self.assignment = partition_devices(
+            topology, self.num_workers, groups=slice_groups
+        )
         self.cut_links = cut_edges(topology, self.assignment)
 
         self.devices: Dict[str, _MirrorDevice] = {}
@@ -155,15 +146,6 @@ class ParallelNetwork:
         self._owns_pool = pool is None
         self._spawned = False  # this *network* attached to the pool yet?
         self._idle_since: Dict[int, float] = {}
-
-        # Update-shipping dictionary: churn overwhelmingly reinstalls match
-        # predicates already on the wire (route refreshes, re-points and
-        # restores reuse the installed match), so each distinct match is
-        # serialized once, shipped to a given worker once, and referenced
-        # by id thereafter — neither side touches the BDD codec again.
-        self._match_ids: Dict[object, int] = {}
-        self._match_payloads: List[bytes] = []
-        self._matches_shipped: Set[Tuple[int, int]] = set()
         # Buffered scenario ops: (at, kind, *payload); run() executes them.
         # Workers attach lazily, on the first run(): by then the mirror
         # planes hold every buffered install, and (on a fresh pool) a fork
@@ -201,7 +183,7 @@ class ParallelNetwork:
             return False
         pool = self.pool
         if pool is None:
-            pool = self.pool = WorkerPool(self.num_workers, use_shm=self.use_shm)
+            pool = self.pool = WorkerPool(self.num_workers)
         if pool.broken or pool.closed:
             raise SimulationError(
                 "cannot deploy onto a broken or closed worker pool"
@@ -212,7 +194,7 @@ class ParallelNetwork:
             # pickling — each worker receives its partition's planes, tasks
             # and the (already warm) BDD context as live objects.  Everything
             # *after* the fork crosses as bytes: rules via :mod:`.shipping`,
-            # DVM messages via :mod:`.atomwire`.
+            # DVM messages via :mod:`repro.core.wire`.
             inits = []
             for wid in range(self.num_workers):
                 mine = self._worker_devices(wid)
@@ -254,14 +236,13 @@ class ParallelNetwork:
                         {
                             "devices": mine,
                             "tasks": shipping.ship_tasks(
-                                self._worker_tasks(mine),
-                                predicate_index=self.predicate_index,
+                                self._worker_tasks(mine)
                             ),
                         },
                     ),
                 )
             for wid in range(self.num_workers):
-                reply, _payloads = pool.recv(wid)
+                reply = pool.recv(wid)
                 if reply[0] == "error":
                     raise SimulationError(
                         f"worker {wid} failed to reset:\n{reply[1]}"
@@ -283,45 +264,40 @@ class ParallelNetwork:
                 track, name, start, self.tracer.ipc_clock(), **fields
             )
 
-    def _execute(
-        self,
-        commands: Dict[int, tuple],
-        payloads: Optional[Dict[int, Sequence[bytes]]] = None,
-    ) -> None:
+    def _execute(self, commands: Dict[int, tuple]) -> None:
         """Run one batch of commands and route the resulting cross-worker
-        frames until the network is quiescent — without barriers.
+        messages until the network is quiescent — without barriers.
 
         Invariants that make this correct and deadlock-free:
 
         * at most one command is outstanding per worker, and every command
           yields exactly one reply (so pipe writes never mutually block);
-        * a reply carries all frames the command produced, each of which
+        * a reply carries all messages the command produced, each of which
           becomes a pending inbox delivery — credit counting: quiescence is
-          exactly (no outstanding commands) ∧ (no pending frames);
-        * frames queue per destination and are dispatched the moment the
+          exactly (no outstanding commands) ∧ (no pending messages);
+        * messages queue per destination and are dispatched the moment the
           destination goes idle, so routing never waits for a round.
         """
         pool = self.pool
         tracer = self.tracer
         outstanding: Dict[int, Tuple[float, str]] = {}
-        pending: Dict[int, List[bytes]] = {}
-        blobs = payloads or {}
+        pending: Dict[int, List[tuple]] = {}
 
-        def dispatch(wid: int, command: tuple, frames: Sequence[bytes], label: str) -> None:
+        def dispatch(wid: int, command: tuple, label: str) -> None:
             if tracer is not None:
                 idle_from = self._idle_since.pop(wid, None)
                 if idle_from is not None:
                     self._span(f"worker{wid}", "idle", idle_from)
-            pool.send(wid, command, frames)
+            pool.send(wid, command)
             sent_at = tracer.ipc_clock() if tracer is not None else 0.0
             outstanding[wid] = (sent_at, label)
 
         for wid in sorted(commands):
-            dispatch(wid, commands[wid], blobs.get(wid, ()), commands[wid][0])
+            dispatch(wid, commands[wid], commands[wid][0])
         while outstanding or pending:
             for wid in sorted(pending):
                 if wid not in outstanding:
-                    dispatch(wid, ("inbox",), pending.pop(wid), "drain")
+                    dispatch(wid, ("inbox", pending.pop(wid)), "drain")
             probe_start = tracer.ipc_clock() if tracer is not None else 0.0
             ready = pool.wait(sorted(outstanding))
             if tracer is not None:
@@ -334,7 +310,7 @@ class ParallelNetwork:
                 )
             for wid in ready:
                 sent_at, label = outstanding.pop(wid)
-                reply, frames = pool.recv(wid)
+                reply = pool.recv(wid)
                 if reply[0] == "error":
                     raise SimulationError(f"worker {wid} failed:\n{reply[1]}")
                 if tracer is not None:
@@ -345,17 +321,19 @@ class ParallelNetwork:
                     flush_start = (
                         tracer.ipc_clock() if tracer is not None else 0.0
                     )
-                    for (dst, count), frame in zip(routed, frames):
-                        pending.setdefault(dst, []).append(frame)
-                        self.metrics.routed_messages += count
-                        self.metrics.routed_bytes += len(frame)
+                    for dst, entries in routed:
+                        pending.setdefault(dst, []).extend(entries)
+                        self.metrics.routed_messages += len(entries)
+                        self.metrics.routed_bytes += sum(
+                            len(entry[3]) for entry in entries
+                        )
                     if tracer is not None:
                         self._span(
                             "coordinator",
                             "flush",
                             flush_start,
                             src=wid,
-                            frames=len(routed),
+                            destinations=len(routed),
                         )
 
     def _control(self, command: tuple) -> List[object]:
@@ -365,7 +343,7 @@ class ParallelNetwork:
             pool.send(wid, command)
         out: List[object] = []
         for wid in range(self.num_workers):
-            reply, _payloads = pool.recv(wid)
+            reply = pool.recv(wid)
             if reply[0] == "error":
                 raise SimulationError(f"worker {wid} failed:\n{reply[1]}")
             out.append(reply[1])
@@ -467,27 +445,6 @@ class ParallelNetwork:
     # ------------------------------------------------------------------
     # Run + results
     # ------------------------------------------------------------------
-    def _ship_update(self, wid: int, install: Rule) -> Dict[str, object]:
-        """One update's wire payload for worker ``wid``.
-
-        The match predicate ships as serialized BDD bytes the first time
-        worker ``wid`` sees it and as a dictionary reference afterwards;
-        the worker caches the decoded predicate under the same id."""
-        mid = self._match_ids.get(install.match)
-        if mid is None:
-            mid = self._match_ids[install.match] = len(self._match_payloads)
-            self._match_payloads.append(
-                shipping.ship_rules([install])["blob"]
-            )
-        payload: Dict[str, object] = {
-            "meta": (install.action, install.priority, install.rule_id),
-            "mid": mid,
-        }
-        if (wid, mid) not in self._matches_shipped:
-            self._matches_shipped.add((wid, mid))
-            payload["blob"] = self._match_payloads[mid]
-        return payload
-
     def run(self, until: Optional[float] = None) -> float:
         """Execute buffered ops and route to quiescence.
 
@@ -553,13 +510,12 @@ class ParallelNetwork:
                 while i < len(ops) and ops[i][1] == "update":
                     _at, _kind, dev, install, remove_id, only = ops[i]
                     i += 1
-                    wid = self.assignment[dev]
                     payload = (
-                        self._ship_update(wid, install)
+                        shipping.ship_rules([install])
                         if install is not None
                         else None
                     )
-                    batches.setdefault(wid, []).append(
+                    batches.setdefault(self.assignment[dev], []).append(
                         (dev, payload, remove_id, only)
                     )
                 if inherited:

@@ -3,10 +3,10 @@
 DVM messages travel only between physical neighbors, so the cost of a
 partition is the number of topology edges it cuts: messages between
 co-located devices stay Python objects inside one worker, messages crossing
-workers pay a BDD encode on one side and a decode on the other.  The
-``locality`` strategy grows BFS clusters (pods cluster naturally on DC
-fabrics); ``round_robin`` is the shared-nothing baseline the benchmark uses
-to show the difference.
+workers pay a wire encode on one side and a decode on the other.  Without
+declared tenants the partition grows BFS locality clusters (pods cluster
+naturally on DC fabrics); with them, each slice-footprint component stays
+whole on one worker.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.topology.graph import Topology, canonical_link
+from repro.topology.graph import Topology
 
 __all__ = ["partition_devices", "cut_edges"]
 
@@ -66,10 +66,6 @@ def _locality(
     return assigned
 
 
-def _round_robin(devices: List[str], num_workers: int) -> Dict[str, int]:
-    return {dev: i % num_workers for i, dev in enumerate(sorted(devices))}
-
-
 def _slice_aligned(
     devices: List[str],
     num_workers: int,
@@ -117,30 +113,21 @@ def _slice_aligned(
 def partition_devices(
     topology: Topology,
     num_workers: int,
-    strategy: str = "locality",
     devices: Sequence[str] = (),
     weights: Optional[Mapping[str, int]] = None,
     groups: Optional[Sequence[Sequence[str]]] = None,
 ) -> Dict[str, int]:
     """Assign every device to a worker id in ``[0, num_workers)``.
 
-    ``strategy="slices"`` requires ``groups`` (slice-footprint components
-    from :meth:`repro.slicing.SliceRegistry.device_groups`) and keeps each
-    component whole on one worker."""
+    With ``groups`` (slice-footprint components from
+    :meth:`repro.slicing.SliceRegistry.device_groups`) each component stays
+    whole on one worker; without them the devices form locality clusters."""
     if num_workers < 1:
         raise SimulationError("need at least one worker")
     names = sorted(devices) if devices else sorted(topology.devices)
-    if strategy == "locality":
-        return _locality(topology, names, num_workers, weights)
-    if strategy == "round_robin":
-        return _round_robin(names, num_workers)
-    if strategy == "slices":
-        if groups is None:
-            raise SimulationError(
-                "partition strategy 'slices' needs slice device groups"
-            )
+    if groups is not None:
         return _slice_aligned(names, num_workers, groups)
-    raise SimulationError(f"unknown partition strategy {strategy!r}")
+    return _locality(topology, names, num_workers, weights)
 
 
 def cut_edges(topology: Topology, assignment: Dict[str, int]) -> int:

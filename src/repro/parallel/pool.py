@@ -7,17 +7,11 @@ processes from any one deployment: the pool is spawned once (per
 :class:`~repro.sim.runner.TulkunRunner`), the first deployment forks with
 live copy-on-write state, and later deployments *reset* the existing
 workers — rebuilding planes and verifiers on each worker's already-warm BDD
-context (node table, op caches, atom index and the cross-worker atom
-dictionaries all survive).
+context (node table, op caches and atom index all survive).
 
-The pool also owns the transport plumbing:
-
-* one command pipe per worker (control tuples, small, pickled);
-* two :class:`~repro.parallel.shm.ShmRing` segments per worker (payload
-  bytes: DVM frames coordinator→worker and worker→coordinator).  Payloads
-  ride the ring as ``("s", position, length)`` descriptors on the pipe; if
-  a ring is momentarily full the payload falls back to an inline
-  ``("r", bytes)`` descriptor — same bytes, slow lane.
+The pool also owns the transport: one command pipe per worker.  Every
+command and reply is a pickled tuple on it, DVM messages included (as
+:mod:`repro.core.wire` bytes).
 
 Crash detection: any pipe failure marks the pool ``broken`` and raises
 :class:`~repro.errors.SimulationError` naming the worker and its exit
@@ -30,52 +24,18 @@ from __future__ import annotations
 import multiprocessing
 import time
 from multiprocessing.connection import wait as _conn_wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.parallel.shm import ShmRing, shared_memory_available
 
-__all__ = ["WorkerPool", "write_payloads", "read_payloads"]
-
-
-def write_payloads(ring: Optional[ShmRing], payloads: Sequence[bytes]) -> List[tuple]:
-    """Stage payload bytes for a pipe message; returns descriptors."""
-    descs: List[tuple] = []
-    for data in payloads:
-        if ring is not None:
-            pos = ring.try_write(data)
-            if pos is not None:
-                descs.append(("s", pos, len(data)))
-                continue
-        descs.append(("r", data))
-    return descs
-
-
-def read_payloads(ring: Optional[ShmRing], descs: Sequence[tuple]) -> List[bytes]:
-    """Materialize descriptors back into payload bytes (FIFO order)."""
-    out: List[bytes] = []
-    for desc in descs:
-        if desc[0] == "s":
-            if ring is None:
-                raise SimulationError("shared-memory descriptor without a ring")
-            out.append(ring.read(desc[1], desc[2]))
-        else:
-            out.append(desc[1])
-    return out
+__all__ = ["WorkerPool"]
 
 
 class WorkerPool:
     """A long-lived pool of forked verifier workers."""
 
-    def __init__(
-        self,
-        num_workers: int,
-        use_shm: bool = True,
-        ring_capacity: int = 1 << 22,
-    ) -> None:
+    def __init__(self, num_workers: int) -> None:
         self.num_workers = num_workers
-        self.use_shm = use_shm and shared_memory_available()
-        self.ring_capacity = ring_capacity
         self.spawned = False
         self.broken = False
         self.closed = False
@@ -87,8 +47,6 @@ class WorkerPool:
         self.generations = 0
         self._procs: List = []
         self._conns: List = []
-        self._rings_out: List[Optional[ShmRing]] = []  # coordinator -> worker
-        self._rings_in: List[Optional[ShmRing]] = []  # worker -> coordinator
 
     # ------------------------------------------------------------------
     # Spawning
@@ -105,27 +63,17 @@ class WorkerPool:
             )
         mp = multiprocessing.get_context("fork")
         self.assignment = dict(assignment)
-        for wid, init in enumerate(inits):
-            if self.use_shm:
-                ring_out: Optional[ShmRing] = ShmRing(self.ring_capacity)
-                ring_in: Optional[ShmRing] = ShmRing(self.ring_capacity)
-            else:
-                ring_out = ring_in = None
-            init = dict(init)
-            init["ring_in"] = ring_out  # the worker reads what we write
-            init["ring_out"] = ring_in
+        for init in inits:
             parent_conn, child_conn = mp.Pipe()
             proc = mp.Process(target=target, args=(child_conn, init), daemon=True)
             proc.start()
             child_conn.close()
             self._procs.append(proc)
             self._conns.append(parent_conn)
-            self._rings_out.append(ring_out)
-            self._rings_in.append(ring_in)
         self.spawned = True
         self.generations = 1
         for wid in range(self.num_workers):
-            reply, _payloads = self.recv(wid)
+            reply = self.recv(wid)
             if reply[0] != "ready":
                 raise SimulationError(
                     f"worker {wid} failed to initialize:\n{reply[1]}"
@@ -149,19 +97,17 @@ class WorkerPool:
             f"is broken and must be respawned"
         )
 
-    def send(self, wid: int, command: tuple, payloads: Sequence[bytes] = ()) -> None:
+    def send(self, wid: int, command: tuple) -> None:
         if self.broken:
             raise SimulationError("worker pool is broken (a worker died)")
         try:
-            descs = write_payloads(self._rings_out[wid], payloads)
-            self._conns[wid].send((command, descs))
+            self._conns[wid].send(command)
         except (OSError, BrokenPipeError, EOFError, ValueError) as exc:
             raise self._fail(wid, exc)
 
-    def recv(self, wid: int) -> Tuple[tuple, List[bytes]]:
+    def recv(self, wid: int) -> tuple:
         try:
-            reply, descs = self._conns[wid].recv()
-            return reply, read_payloads(self._rings_in[wid], descs)
+            return self._conns[wid].recv()
         except (OSError, BrokenPipeError, EOFError) as exc:
             raise self._fail(wid, exc)
 
@@ -188,10 +134,10 @@ class WorkerPool:
         self.closed = True
         if not self.spawned:
             return
-        for wid, conn in enumerate(self._conns):
+        for conn in self._conns:
             if not self.broken:
                 try:
-                    conn.send((("exit",), []))
+                    conn.send(("exit",))
                 except (OSError, BrokenPipeError, ValueError):
                     pass
         deadline = time.monotonic() + 5
@@ -205,9 +151,6 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover - teardown race
                 pass
-        for ring in self._rings_out + self._rings_in:
-            if ring is not None:
-                ring.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC backstop
         try:

@@ -10,7 +10,8 @@ tables) is context-free and rides the pipe's pickle.
 Payload shapes::
 
     tasks:  {"meta": [per-task dicts], "blob": bytes}   # packet spaces
-    rules:  {"meta": [(action, priority, rule_id)], "blob": bytes}  # matches
+    rules:  {"meta": [(action, priority, rule_id)], "blobs": [bytes]}
+    rule sets: {"meta": [(dev, [(action, priority, rule_id)])], "blob": bytes}
 """
 
 from __future__ import annotations
@@ -19,14 +20,18 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.bdd.fields import HeaderLayout
 from repro.bdd.predicate import PacketSpaceContext
-from repro.bdd.serialize import deserialize_predicates, serialize_predicates
+from repro.bdd.serialize import (
+    deserialize_predicate,
+    deserialize_predicates,
+    serialize_predicate,
+    serialize_predicates,
+)
 from repro.core.tasks import DeviceTask
 from repro.dataplane.rule import Rule
 
 __all__ = [
     "build_context",
     "ship_tasks",
-    "shipped_predicate_index",
     "unship_tasks",
     "ship_rules",
     "unship_rules",
@@ -52,15 +57,8 @@ def _as_predicate(region):
     return region
 
 
-def ship_tasks(
-    tasks: Sequence[DeviceTask], predicate_index: str = "atoms"
-) -> Dict[str, object]:
-    """Pack device tasks for one worker into a single payload.
-
-    ``predicate_index`` rides along so a worker rebuilt from shipped state
-    (rather than a fork) constructs its verifiers in the coordinator's
-    region-representation mode.
-    """
+def ship_tasks(tasks: Sequence[DeviceTask]) -> Dict[str, object]:
+    """Pack device tasks for one worker into a single payload."""
     meta = []
     for task in tasks:
         meta.append(
@@ -76,7 +74,7 @@ def ship_tasks(
     blob = serialize_predicates(
         [_as_predicate(task.packet_space) for task in tasks]
     )
-    return {"meta": meta, "blob": blob, "predicate_index": predicate_index}
+    return {"meta": meta, "blob": blob}
 
 
 def unship_tasks(
@@ -100,23 +98,25 @@ def unship_tasks(
     return tasks
 
 
-def shipped_predicate_index(payload: Dict[str, object]) -> str:
-    """The region-representation mode recorded in a task payload."""
-    return payload.get("predicate_index", "atoms")  # type: ignore[return-value]
-
-
 def ship_rules(rules: Sequence[Rule]) -> Dict[str, object]:
-    """Pack forwarding rules (one device's burst install, or one update)."""
+    """Pack a few forwarding rules (one update's install).
+
+    Each match ships as its own canonical stream through the memoized
+    single-predicate codec: churn mostly reinstalls matches already on the
+    wire, and a memo hit on either side costs one dict lookup."""
     meta = [(rule.action, rule.priority, rule.rule_id) for rule in rules]
-    blob = serialize_predicates([_as_predicate(rule.match) for rule in rules])
-    return {"meta": meta, "blob": blob}
+    blobs = [serialize_predicate(_as_predicate(rule.match)) for rule in rules]
+    return {"meta": meta, "blobs": blobs}
 
 
 def unship_rules(
     ctx: PacketSpaceContext, payload: Dict[str, object]
 ) -> List[Rule]:
     """Rebuild shipped rules with their original ids preserved."""
-    matches = deserialize_predicates(ctx, payload["blob"])  # type: ignore[arg-type]
+    matches = [
+        deserialize_predicate(ctx, blob)
+        for blob in payload["blobs"]  # type: ignore[union-attr]
+    ]
     return [
         Rule(match, action, priority, rule_id=rule_id)
         for match, (action, priority, rule_id) in zip(matches, payload["meta"])  # type: ignore[arg-type]

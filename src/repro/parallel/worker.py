@@ -7,16 +7,13 @@ Each worker owns the devices of one partition block: their data planes, one
 after each one drains its local message queue to quiescence — messages
 between co-located devices never leave the process.  Messages whose
 destination lives on another worker accumulate in per-destination outbound
-buckets and are flushed as packed :mod:`repro.parallel.atomwire` frames when
-the command completes (the worker goes idle), riding the shared-memory ring
-back to the coordinator.
+buckets and are flushed when the command completes (the worker goes idle):
+each message crosses as the bytes of the one DVM codec,
+:func:`repro.core.wire.encode_message`, in the reply on the command pipe.
 
 Workers are *persistent* (:mod:`repro.parallel.pool`): a ``reset`` command
 re-points the process at a new deployment — fresh planes and verifiers on
-the same warm BDD context.  The atom-wire encoder/decoder dictionaries
-deliberately survive resets: atom ids are never reused and extents are
-stable, so definitions shipped to a peer in one deployment remain valid in
-the next.
+the same warm BDD context.
 
 Determinism: every message carries a ``(source device, per-device sequence)``
 key.  Batches are sorted by key and grouped by sorted ``(device, invariant)``
@@ -32,14 +29,12 @@ import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bdd.serialize import deserialize_predicates, serialize_predicate
+from repro.bdd.serialize import serialize_predicate
 from repro.core.verifier import OnDeviceVerifier
+from repro.core.wire import decode_message, encode_message
 from repro.dataplane.device import DevicePlane
-from repro.dataplane.rule import Rule
 from repro.parallel import shipping
-from repro.parallel.atomwire import FrameDecoder, FrameEncoder
 from repro.parallel.parity import canonical_source_counts
-from repro.parallel.pool import read_payloads, write_payloads
 from repro.topology.graph import canonical_link
 
 __all__ = ["VerifierHost", "worker_main"]
@@ -47,6 +42,9 @@ __all__ = ["VerifierHost", "worker_main"]
 # (source device, per-source sequence number): a total, partition-independent
 # order over the messages any one device emits.
 MessageKey = Tuple[str, int]
+# One cross-worker message: (key, destination device, invariant, the
+# message's repro.core.wire bytes).
+WireEntry = Tuple[MessageKey, str, str, bytes]
 
 
 def _fresh_stats() -> Dict[str, int]:
@@ -65,8 +63,8 @@ class VerifierHost:
     Constructed from live objects inherited across the coordinator's fork
     (context, planes, tasks — no deserialization).  After the fork these are
     private copies; every later state change arrives as an explicit command,
-    with rules crossing as shipped payloads and DVM messages as atom-wire
-    frames.
+    with rules crossing as shipped payloads and DVM messages as
+    :mod:`repro.core.wire` bytes.
     """
 
     def __init__(self, init: Dict[str, object]) -> None:
@@ -79,14 +77,6 @@ class VerifierHost:
             if self.predicate_index == "atoms"
             else None
         )
-        # Cross-worker wire state.  Lives beside (not inside) the deployment
-        # state: reset() replaces verifiers and planes but the per-peer atom
-        # dictionaries stay coherent across deployments by construction.
-        self.encoder = FrameEncoder(self.wid, self.index)
-        self.decoder = FrameDecoder(self.ctx, self.index)
-        # Update-shipping dictionary (coordinator side assigns the ids):
-        # each distinct match predicate is decoded once, then referenced.
-        self._match_cache: Dict[int, object] = {}
 
         # Arm the per-worker BDD engine's garbage collector if requested.
         # Verifiers sweep at event boundaries; messages queued during a
@@ -135,17 +125,14 @@ class VerifierHost:
         """Re-point this persistent worker at a new deployment.
 
         Planes and verifiers are rebuilt from shipped state; the BDD context
-        (node table, op caches, serialize memos), the atom index and the
-        cross-worker atom dictionaries all survive — which is what makes a
-        redeploy on a warm pool much cheaper than a fresh fork."""
+        (node table, op caches, serialize memos) and the atom index survive
+        — which is what makes a redeploy on a warm pool much cheaper than a
+        fresh fork."""
         tasks = shipping.unship_tasks(self.ctx, payload["tasks"])  # type: ignore[arg-type]
         planes = {
             dev: DevicePlane(dev, self.ctx)
             for dev in payload["devices"]  # type: ignore[union-attr]
         }
-        # Match ids belong to the deployment's coordinator; a new one
-        # numbers from zero again, so the old dictionary must not answer.
-        self._match_cache.clear()
         self._attach(planes, tasks)
 
     # ------------------------------------------------------------------
@@ -193,26 +180,33 @@ class VerifierHost:
                 self._dirty_verifiers.add((dst, invariant))
                 self._route(dst, invariant, verifier.handle_batch(messages))
 
-    def flush(self) -> List[Tuple[int, bytes, int]]:
-        """Encode the outbound buckets as one frame per destination worker;
-        returns ``(dst wid, frame bytes, entry count)`` triples."""
-        out: List[Tuple[int, bytes, int]] = []
-        for dst_wid in sorted(self._outbound):
-            entries = self._outbound[dst_wid]
-            frame = self.encoder.encode(dst_wid, entries)
-            out.append((dst_wid, frame, len(entries)))
+    def flush(self) -> List[Tuple[int, List[WireEntry]]]:
+        """Encode the outbound buckets; returns one ``(dst wid, entries)``
+        pair per destination worker, each message as wire bytes."""
+        out = [
+            (
+                dst_wid,
+                [
+                    (key, dst, invariant, encode_message(message))
+                    for key, dst, invariant, message in self._outbound[dst_wid]
+                ],
+            )
+            for dst_wid in sorted(self._outbound)
+        ]
         self._outbound = {}
         return out
 
     # ------------------------------------------------------------------
     # Commands
     # ------------------------------------------------------------------
-    def inbox(self, frames: Sequence[bytes]) -> None:
-        """Deliver a batch of cross-worker frames, then drain."""
+    def inbox(self, entries: Sequence[WireEntry]) -> None:
+        """Deliver a batch of cross-worker messages, then drain."""
         self.rounds += 1
-        for data in frames:
-            _sender, entries = self.decoder.decode(data)
-            self._queue.extend(entries)
+        ctx = self.ctx
+        self._queue.extend(
+            (key, dst, invariant, decode_message(ctx, blob))
+            for key, dst, invariant, blob in entries
+        )
         self._drain()
 
     def burst(self, payload: Dict[str, object]) -> None:
@@ -257,17 +251,6 @@ class VerifierHost:
             self._route(dev, invariant, verifier.activate_scene(scene_id))
         self._drain()
 
-    def _unship_update(self, payload: Dict[str, object]) -> Rule:
-        """Rebuild one shipped rule, caching its decoded match by id."""
-        mid: int = payload["mid"]  # type: ignore[assignment]
-        if "blob" in payload:  # first shipment carries the bytes
-            match = deserialize_predicates(self.ctx, payload["blob"])[0]
-            self._match_cache[mid] = match
-        else:
-            match = self._match_cache[mid]
-        action, priority, rule_id = payload["meta"]  # type: ignore[misc]
-        return Rule(match, action, priority, rule_id=rule_id)
-
     def update(self, updates: Sequence[tuple]) -> None:
         """Apply a batch of single-rule updates (in order), then drain once.
 
@@ -283,11 +266,12 @@ class VerifierHost:
             plane = self.planes[dev]
             if install_payload is None:
                 deltas = plane.remove_rule(remove_rule_id)
-            elif remove_rule_id is None:
-                deltas = plane.install_rule(self._unship_update(install_payload))
             else:
-                rule = self._unship_update(install_payload)
-                deltas = plane.replace_rule(remove_rule_id, rule)
+                (rule,) = shipping.unship_rules(self.ctx, install_payload)
+                if remove_rule_id is None:
+                    deltas = plane.install_rule(rule)
+                else:
+                    deltas = plane.replace_rule(remove_rule_id, rule)
             for invariant, verifier in self._by_dev.get(dev, ()):
                 if only is not None and invariant not in only:
                     continue
@@ -349,7 +333,6 @@ class VerifierHost:
             "atom_index": (
                 self.index.profile() if self.index is not None else None
             ),
-            "wire": dict(self.encoder.stats),
         }
 
     def fingerprints(self):
@@ -366,17 +349,7 @@ def worker_main(conn, init: Dict[str, object]) -> None:
     import gc
 
     gc.freeze()
-    # Ring directions are named from this process's perspective; only the
-    # coordinator (the creator) unlinks the shared segments.
-    ring_in = init.pop("ring_in", None)
-    ring_out = init.pop("ring_out", None)
-    if ring_in is not None:
-        ring_in.disown()
-    if ring_out is not None:
-        ring_out.disown()
-
-    def reply(message: tuple, payloads: Sequence[bytes] = ()) -> None:
-        conn.send((message, write_payloads(ring_out, payloads)))
+    reply = conn.send
 
     try:
         start = time.process_time()
@@ -388,14 +361,9 @@ def worker_main(conn, init: Dict[str, object]) -> None:
         return
     while True:
         try:
-            command, descs = conn.recv()
+            command = conn.recv()
         except EOFError:
             return
-        try:
-            payloads = read_payloads(ring_in, descs)
-        except Exception:
-            reply(("error", traceback.format_exc()))
-            continue
         op = command[0]
         if op == "exit":
             reply(("bye",))
@@ -417,7 +385,7 @@ def worker_main(conn, init: Dict[str, object]) -> None:
                 reply(("ok",))
                 continue
             if op == "inbox":
-                host.inbox(payloads)
+                host.inbox(command[1])
             elif op == "burst":
                 host.burst(command[1])
             elif op == "link":
@@ -428,11 +396,8 @@ def worker_main(conn, init: Dict[str, object]) -> None:
                 host.update(command[1])
             else:
                 raise RuntimeError(f"unknown worker command {op!r}")
-            frames = host.flush()
+            outbound = host.flush()
             host.busy += time.process_time() - start
-            reply(
-                ("out", [(dst, count) for dst, _frame, count in frames]),
-                [frame for _dst, frame, _count in frames],
-            )
+            reply(("out", outbound))
         except Exception:
             reply(("error", traceback.format_exc()))

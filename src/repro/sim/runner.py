@@ -81,14 +81,12 @@ class TulkunRunner:
         prebuilt_nets: Optional[Mapping[str, object]] = None,
         backend: str = "serial",
         workers: Optional[int] = None,
-        partition_strategy: str = "locality",
         gc_threshold: Optional[int] = None,
         predicate_index: str = "atoms",
         chaos: Optional[ChaosConfig] = None,
         transport_config: Optional[TransportConfig] = None,
         tracer=None,
         channel=None,
-        use_shm: bool = True,
         slices: Union[None, str, Mapping[str, Sequence[str]]] = None,
     ) -> None:
         """``prebuilt_nets`` optionally maps invariant names to prebuilt
@@ -124,9 +122,6 @@ class TulkunRunner:
         substitute a :class:`repro.telemetry.ReplayChannel` carrying
         recorded fates (serial backend only).
 
-        ``use_shm`` (process backend) ships cross-worker DVM frames through
-        shared-memory rings; disable to force the pipe fallback lane.
-
         ``slices`` declares tenants (:mod:`repro.slicing`): ``"auto"``
         groups invariants into tenant slices by their ``tenant/name``
         prefix; a mapping ``{tenant: [invariant names]}`` assigns them
@@ -138,7 +133,7 @@ class TulkunRunner:
         Declared tenants add what is tenant-facing: the serve layer's
         per-tenant delta fields and admission, and (process backend)
         disjoint-footprint slice groups partitioned onto different shard
-        workers in place of ``partition_strategy``.  Verdicts are
+        workers in place of locality clusters.  Verdicts are
         byte-identical to broadcasting every event to every verifier.
         """
         if backend not in ("serial", "process"):
@@ -163,14 +158,12 @@ class TulkunRunner:
         self.cpu_scale = cpu_scale
         self.backend = backend
         self.workers = workers
-        self.partition_strategy = partition_strategy
         self.gc_threshold = gc_threshold
         self.predicate_index = predicate_index
         self.chaos = chaos
         self.transport_config = transport_config
         self.tracer = tracer
         self.channel = channel
-        self.use_shm = use_shm
         self.network = None  # SimNetwork | ParallelNetwork
         # Persistent worker pool (process backend): spawned on the first
         # deployment, reused by every later one via worker resets.
@@ -229,11 +222,9 @@ class TulkunRunner:
                 self.task_sets,
                 cpu_scale=self.cpu_scale,
                 num_workers=self.workers,
-                partition_strategy=self.partition_strategy,
                 gc_threshold=self.gc_threshold,
                 predicate_index=self.predicate_index,
                 pool=self._ensure_pool(),
-                use_shm=self.use_shm,
                 tracer=self.tracer,
                 slice_groups=self._slice_groups(),
             )
@@ -255,7 +246,7 @@ class TulkunRunner:
 
     def _ensure_pool(self):
         """The runner's persistent worker pool, respawned only when its
-        shape no longer fits (worker count, partition strategy, GC/index
+        shape no longer fits (worker count, slice groups, GC/index
         settings) or a worker has died."""
         from repro.parallel.coordinator import default_worker_count
         from repro.parallel.pool import WorkerPool
@@ -266,10 +257,8 @@ class TulkunRunner:
         groups = self._slice_groups()
         profile = {
             "num_workers": num_workers,
-            "strategy": self.partition_strategy,
             "gc_threshold": self.gc_threshold,
             "predicate_index": self.predicate_index,
-            "use_shm": self.use_shm,
             # The slice-aligned partition changes with slice membership; a
             # warm pool only fits deployments with the same assignment, so
             # the group fingerprint forces a respawn when groups move.
@@ -286,14 +275,14 @@ class TulkunRunner:
             pool.close()
             pool = None
         if pool is None:
-            pool = WorkerPool(num_workers, use_shm=self.use_shm)
+            pool = WorkerPool(num_workers)
             pool.profile = profile
             self._pool = pool
         return pool
 
     def _slice_groups(self):
         """Slice-footprint device groups for the process partition (None
-        without declared tenants — the configured strategy applies)."""
+        without declared tenants — locality clusters apply)."""
         registry = self.slice_registry
         if not registry.tenants_declared:
             return None

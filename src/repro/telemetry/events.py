@@ -52,7 +52,7 @@ __all__ = [
 TASK = "task"
 KERNEL_RUN = "kernel_run"
 # Process-backend coordinator/worker IPC: command execution ("drain" for
-# inbox deliveries), outbound-frame routing ("flush"), worker idle gaps and
+# inbox deliveries), outbound-message routing ("flush"), worker idle gaps and
 # quiescence probes — the per-worker occupancy timeline.
 IPC = "ipc"
 # Serving-mode epochs: one span per coalesced re-verification pass through

@@ -67,8 +67,9 @@ def ft4():
 
 class TestPartition:
     def test_covers_every_device_exactly_once(self, ft4):
-        for strategy in ("locality", "round_robin"):
-            assignment = partition_devices(ft4.topology, 3, strategy=strategy)
+        devices = ft4.topology.devices
+        for groups in (None, [devices[:5], devices[5:9]]):
+            assignment = partition_devices(ft4.topology, 3, groups=groups)
             assert sorted(assignment) == ft4.topology.devices
             assert set(assignment.values()) <= set(range(3))
 
@@ -79,8 +80,10 @@ class TestPartition:
 
     def test_locality_cuts_fewer_edges_than_round_robin(self):
         topology = fattree(4)
-        locality = partition_devices(topology, 4, strategy="locality")
-        scattered = partition_devices(topology, 4, strategy="round_robin")
+        locality = partition_devices(topology, 4)
+        scattered = {
+            dev: i % 4 for i, dev in enumerate(sorted(topology.devices))
+        }
         assert cut_edges(topology, locality) <= cut_edges(topology, scattered)
 
 

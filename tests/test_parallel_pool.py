@@ -1,11 +1,11 @@
-"""Persistent worker pool: reuse, crash detection, rings, IPC telemetry.
+"""Persistent worker pool: reuse, crash detection, IPC telemetry.
 
 The process backend's pool outlives any single deployment.  These tests pin
 the lifecycle contract (fork once → reset thereafter, byte-identical
-outcomes either way), the crash story (a dead worker breaks the pool, the
-runner respawns a fresh one), the shared-memory ring's SPSC semantics, and
-the coordinator's IPC span telemetry — including the regression guard that
-a disabled tracer stays a single attribute check on the hot path.
+outcomes either way, and equal to the serial backend's), the crash story (a
+dead worker breaks the pool, the runner respawns a fresh one), and the
+coordinator's IPC span telemetry — including the regression guard that a
+disabled tracer stays a single attribute check on the hot path.
 """
 
 import dis
@@ -14,11 +14,15 @@ import pytest
 
 from repro.dataplane.rule import Rule
 from repro.errors import SimulationError
-from repro.parallel.shm import ShmRing, shared_memory_available
 from repro.sim import TulkunRunner
 from repro.telemetry import Tracer
 
-from tests.test_parallel_backend import build_dataset, fresh_rules
+from tests.test_parallel_backend import (
+    build_dataset,
+    fresh_rules,
+    serial_fingerprints,
+    verdict_flags,
+)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +68,24 @@ class TestPersistentPool:
             result = runner.incremental_updates([(dev, clone, live.rule_id)])
             assert len(result.times) == 1
 
+    def test_burst_matches_serial(self, ds):
+        """Cross-worker messages ride the command pipe as wire bytes; the
+        outcome equals the serial backend's, and the routed bytes are
+        exactly the wire size of the messages that crossed."""
+        with TulkunRunner(ds.topology, ds.ctx, ds.invariants) as serial:
+            baseline = serial.burst_update(fresh_rules(ds))
+            serial_flags = verdict_flags(serial.network, ds.invariants)
+            serial_prints = serial_fingerprints(serial)
+        with _runner(ds) as runner:
+            result = runner.burst_update(fresh_rules(ds))
+            network = runner.network
+            assert result.holds == baseline.holds
+            assert verdict_flags(network, ds.invariants) == serial_flags
+            assert network.source_fingerprints() == serial_prints
+            metrics = network.metrics
+            assert metrics.routed_messages > 0
+            assert 0 < metrics.routed_bytes <= result.bytes_sent
+
     def test_profile_change_respawns_pool(self, ds):
         with _runner(ds) as runner:
             runner.burst_update(fresh_rules(ds))
@@ -91,46 +113,6 @@ class TestPersistentPool:
             assert runner._pool is not pool
             assert not runner._pool.broken
             assert all(result.holds.values())
-
-
-class TestShmRing:
-    def test_roundtrip_and_wraparound(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        ring = ShmRing(capacity=64)
-        try:
-            for i in range(20):  # > capacity total: forces wraparound
-                data = bytes([i]) * 24
-                pos = ring.try_write(data)
-                assert pos is not None
-                assert ring.read(pos, len(data)) == data
-        finally:
-            ring.close()
-
-    def test_full_ring_returns_none(self):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this host")
-        ring = ShmRing(capacity=64)
-        try:
-            pos = ring.try_write(b"x" * 48)
-            assert pos is not None
-            assert ring.try_write(b"y" * 32) is None  # only 16 bytes free
-            assert ring.try_write(b"z" * 200) is None  # larger than the ring
-            ring.read(pos, 48)  # consume -> space reclaimed
-            assert ring.try_write(b"y" * 32) is not None
-        finally:
-            ring.close()
-
-    def test_pipe_fallback_mode_matches(self, ds):
-        """use_shm=False ships identical bytes over the pipe lane."""
-        with _runner(ds, use_shm=False) as plain:
-            baseline = plain.burst_update(fresh_rules(ds))
-            assert plain._pool.use_shm is False
-        with _runner(ds) as shm:
-            result = shm.burst_update(fresh_rules(ds))
-        assert result.holds == baseline.holds
-        assert result.messages == baseline.messages
-        assert result.bytes_sent == baseline.bytes_sent
 
 
 class TestIpcTelemetry:

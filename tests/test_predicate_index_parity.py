@@ -249,7 +249,7 @@ class TestBitsetAlgebraProperty:
             assert i in hits
 
 
-def fattree_outcome(predicate_index, backend, workers=2, use_shm=True):
+def fattree_outcome(predicate_index, backend, workers=2):
     ds = build_dataset("FT-4", pair_limit=6, seed=3)
     kwargs = {
         "gc_threshold": GC_THRESHOLD, "predicate_index": predicate_index,
@@ -257,7 +257,6 @@ def fattree_outcome(predicate_index, backend, workers=2, use_shm=True):
     }
     if backend == "process":
         kwargs["workers"] = workers
-        kwargs["use_shm"] = use_shm
     runner = TulkunRunner(ds.topology, ds.ctx, ds.invariants, **kwargs)
     try:
         rules = {
@@ -299,16 +298,18 @@ class TestFattreeParity:
         assert serial == process
 
     def test_pipe_transport_byte_identical(self):
-        """Same gate with shm frame shipping disabled: the pickled-pipe
-        path must carry the exact same regions and counts."""
-        atoms = fattree_outcome("atoms", "process", use_shm=False)
-        bdd = fattree_outcome("bdd", "process", use_shm=False)
-        assert atoms == bdd
+        """The bdd carrier's messages cross workers as wire bytes on the
+        command pipe; the outcome equals the serial backend's."""
+        serial = fattree_outcome("bdd", "serial")
+        process = fattree_outcome("bdd", "process")
+        assert serial == process
 
-    def test_shm_and_pipe_agree_in_atoms_mode(self):
-        shm = fattree_outcome("atoms", "process", use_shm=True)
-        pipe = fattree_outcome("atoms", "process", use_shm=False)
-        assert shm == pipe
+    def test_backends_agree_on_three_workers(self):
+        """A different partition routes different messages over the pipe;
+        the fixpoint stays the serial one."""
+        serial = fattree_outcome("atoms", "serial")
+        process = fattree_outcome("atoms", "process", workers=3)
+        assert serial == process
 
 
 class TestModeValidation:

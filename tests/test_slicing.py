@@ -328,6 +328,57 @@ class TestDeviceGroups:
         assert len(groups) == 1
         assert set(groups[0]) >= {"A", "B", "D", "W"}
 
+    def test_process_backend_keeps_each_group_on_one_worker(self):
+        """The slice-aligned partition: each footprint component stays
+        whole on one worker, so no DVM message crosses workers, and the
+        statuses equal the serial backend's after a burst and a batch.
+
+        The chains get rungs X_i-Y_i, so locality clusters (grown from X1
+        over its neighbours) would split both footprints."""
+
+        def drive(backend):
+            ctx = PacketSpaceContext()
+            topo = chains_topology()
+            for i in (1, 2, 3):
+                topo.add_link(f"X{i}", f"Y{i}")
+            space = ctx.ip_prefix("10.0.0.0/24")
+            invariants = [
+                named(reachability(space, "X1", "X3", max_extra_hops=0),
+                      "tx/x-reach"),
+                named(reachability(space, "Y1", "Y3", max_extra_hops=0),
+                      "ty/y-reach"),
+            ]
+            runner = TulkunRunner(
+                topo, ctx, invariants, slices="auto", backend=backend,
+                workers=2,
+            )
+            with runner:
+                runner.burst_update(chains_rules(ctx))
+                after_burst = runner.statuses()
+                half = ctx.ip_prefix("10.0.0.0/25")
+                runner.apply_updates(
+                    [
+                        ("X2", Rule(half, Action.drop(), 99), None),
+                        ("Y2", Rule(half, Action.forward_all(["Y3"]), 99),
+                         None),
+                    ]
+                )
+                statuses = (after_burst, runner.statuses())
+                if backend == "serial":
+                    return statuses
+                groups = runner.slice_registry.device_groups()
+                assignment = runner.network.assignment
+                assert groups == [["X1", "X2", "X3"], ["Y1", "Y2", "Y3"]]
+                for group in groups:
+                    assert len({assignment[dev] for dev in group}) == 1, group
+                assert assignment["X1"] != assignment["Y1"]
+                assert runner.network.metrics.routed_messages == 0
+                return statuses
+
+        expected = drive("serial")
+        assert expected[1] == {"tx/x-reach": "VIOLATED", "ty/y-reach": "HOLDS"}
+        assert drive("process") == expected
+
     def test_runner_exposes_groups_only_when_sliced(self):
         _ctx, _topo, runner = chains_runner()
         assert runner._slice_groups() == [
