@@ -225,9 +225,8 @@ def _batched_churn(network, intents, batch_size=CHURN_BATCH):
         touched.add(intent.dev)
         if intent.neutral:
             clone = Rule(rule.match, rule.action, rule.priority)
-            network.apply_rule_update(
-                intent.dev, at=start, install=clone,
-                remove_rule_id=rule.rule_id,
+            network.apply_rule_updates(
+                intent.dev, start, [(clone, rule.rule_id)]
             )
             pending += 1
             applied += 1
@@ -239,14 +238,12 @@ def _batched_churn(network, intents, batch_size=CHURN_BATCH):
         if new_action == rule.action:
             continue
         changed = Rule(rule.match, new_action, rule.priority)
-        network.apply_rule_update(
-            intent.dev, at=start, install=changed,
-            remove_rule_id=rule.rule_id,
+        network.apply_rule_updates(
+            intent.dev, start, [(changed, rule.rule_id)]
         )
         restored = Rule(rule.match, rule.action, rule.priority)
-        network.apply_rule_update(
-            intent.dev, at=start, install=restored,
-            remove_rule_id=changed.rule_id,
+        network.apply_rule_updates(
+            intent.dev, start, [(restored, changed.rule_id)]
         )
         pending += 2
         applied += 2

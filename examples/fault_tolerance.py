@@ -93,10 +93,9 @@ def main():
     # the scene-labeled S,A,W,B,D path of the fault-tolerant DPVNet.
     w_plane = network.devices["W"].plane
     victim = w_plane.rules[0]
-    network.apply_rule_update(
-        "W", at=network.last_activity,
-        install=Rule(space, Action.forward_all(["B"]), 1),
-        remove_rule_id=victim.rule_id,
+    network.apply_rule_updates(
+        "W", network.last_activity,
+        [(Rule(space, Action.forward_all(["B"]), 1), victim.rule_id)],
     )
     network.run()
     print(f"W reroutes to B: holds={network.all_hold(invariant.name)}")
@@ -104,10 +103,9 @@ def main():
     # The failure clears and W's original route comes back.
     runner.recover_links([("W", "D")])
     restored = network.devices["W"].plane.rules[0]
-    network.apply_rule_update(
-        "W", at=network.last_activity,
-        install=Rule(space, Action.forward_all(["D"]), 1),
-        remove_rule_id=restored.rule_id,
+    network.apply_rule_updates(
+        "W", network.last_activity,
+        [(Rule(space, Action.forward_all(["D"]), 1), restored.rule_id)],
     )
     network.run()
     print(f"link W–D recovers: holds={network.all_hold(invariant.name)}")

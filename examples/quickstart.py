@@ -107,9 +107,7 @@ def main():
     old_rule = b_plane.rules[0]
     new_rule = Rule(old_rule.match, Action.forward_all(["W"]), old_rule.priority)
     start = network.last_activity
-    network.apply_rule_update(
-        "B", at=start, install=new_rule, remove_rule_id=old_rule.rule_id
-    )
+    network.apply_rule_updates("B", start, [(new_rule, old_rule.rule_id)])
     finish = network.run()
     print(f"\nafter B's rule update ({(finish - start) * 1e3:.2f} ms to re-verify):")
     print(f"  verdict at S: holds={network.all_hold(invariant.name)}")

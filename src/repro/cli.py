@@ -865,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--backend", choices=("serial", "process"), default="serial",
         help="serial = discrete-event simulator (also the only backend for "
-             "crash/drain ops); process = multiprocessing worker pool",
+             "crash/restart ops); process = multiprocessing worker pool",
     )
     p_serve.add_argument("--workers", type=int, default=None)
     p_serve.add_argument("--gc-threshold", type=int, default=None)

@@ -31,7 +31,11 @@ from repro.dataplane.lec import (
 from repro.dataplane.rule import Rule
 from repro.errors import DataPlaneError
 
-__all__ = ["DevicePlane"]
+__all__ = ["DevicePlane", "RuleUpdate"]
+
+#: One rule update, as every layer below the runner hands it down: the rule
+#: to install and the id of the rule to remove, either of them ``None``.
+RuleUpdate = Tuple[Optional[Rule], Optional[int]]
 
 
 def _row_key(row: RuleRow) -> tuple:
@@ -177,6 +181,19 @@ class DevicePlane:
         deltas = self.remove_rule(rule_id)
         deltas.extend(self.install_rule(new_rule))
         return deltas
+
+    def apply_update(
+        self, install: Optional[Rule], remove_id: Optional[int]
+    ) -> List[LecDelta]:
+        """Apply one ``(install, remove_id)`` rule update: a replace when
+        both are given, else the one install or removal.  Every layer above
+        hands rule updates down as these pairs; this is where a pair
+        becomes a table operation."""
+        if remove_id is None:
+            return self.install_rule(install)
+        if install is None:
+            return self.remove_rule(remove_id)
+        return self.replace_rule(remove_id, install)
 
     def _relabel(self, old: Rule, new_rule: Rule) -> Optional[List[LecDelta]]:
         """Give ``old``'s row to ``new_rule`` (same match and priority), or

@@ -1,8 +1,8 @@
 """The process-backend coordinator: a drop-in for :class:`SimNetwork`.
 
 :class:`ParallelNetwork` exposes the same scenario-driver surface the serial
-simulator does (``install_rules`` / ``apply_rule_update`` / ``change_link`` /
-``activate_scene`` / ``run`` / ``verdicts`` ...), so :class:`TulkunRunner`
+simulator does (``install_rules`` / ``apply_rule_updates`` / ``change_link``
+/ ``activate_scene`` / ``run`` / ``verdicts`` ...), so :class:`TulkunRunner`
 drives either interchangeably.  Underneath, devices are partitioned over a
 pool of worker processes (:mod:`repro.parallel.worker`) that is *persistent*
 (:mod:`repro.parallel.pool`): the first deployment forks it with live
@@ -42,7 +42,7 @@ from repro.bdd.predicate import PacketSpaceContext
 from repro.bdd.serialize import deserialize_predicate
 from repro.core.result import Violation
 from repro.core.tasks import TaskSet
-from repro.dataplane.device import DevicePlane
+from repro.dataplane.device import DevicePlane, RuleUpdate
 from repro.dataplane.rule import Rule
 from repro.errors import SimulationError
 from repro.parallel import shipping
@@ -353,64 +353,35 @@ class ParallelNetwork:
     # Scenario drivers (SimNetwork surface)
     # ------------------------------------------------------------------
     def initialize(self, at: float = 0.0) -> None:
-        self._pending.append((at, "install", None, []))
+        self._pending.append((at, "burst", None, []))
 
     def install_rules(self, dev: str, rules: Sequence[Rule], at: float) -> None:
         rules = list(rules)
         self.devices[dev].plane.install_many(rules)
-        self._pending.append((at, "install", dev, rules))
+        self._pending.append((at, "burst", dev, rules))
 
-    def apply_rule_update(
+    def apply_rule_updates(
         self,
         dev: str,
         at: float,
-        install: Optional[Rule] = None,
-        remove_rule_id: Optional[int] = None,
+        pairs: Sequence[RuleUpdate],
         only: Optional[Set[str]] = None,
     ) -> None:
+        """One device's batch of ``(install, remove_id)`` rule updates.
+
+        The coordinator mirrors the net rule table at once; the pairs ship
+        unchanged to the owning worker, which applies them as one event
+        (:meth:`VerifierHost.update`), exactly as the serial backend does.
+        ``only`` restricts the worker's LEC-delta hand-off to the named
+        invariants (slicing: untouched verifiers provably no-op)."""
         plane = self.devices[dev].plane
-        if remove_rule_id is not None:
-            plane.discard_rule(remove_rule_id)
-        if install is not None:
-            plane.install_many([install])
+        for install, remove_id in pairs:
+            if remove_id is not None:
+                plane.discard_rule(remove_id)
+            if install is not None:
+                plane.install_many([install])
         only_wire = tuple(sorted(only)) if only is not None else None
-        self._pending.append(
-            (at, "update", dev, install, remove_rule_id, only_wire)
-        )
-
-    def apply_rule_updates(
-        self, dev: str, at: float, ops, only: Optional[Set[str]] = None
-    ) -> None:
-        """Batched per-device rule updates (ordered remove/install ops).
-
-        The coordinator mirrors the net plane state immediately; each op
-        ships to the owning worker as an ordinary update at the same
-        timestamp, so a coalesced burst and the equivalent op-at-a-time
-        stream reach the same fixpoint (``sorted`` is stable, preserving
-        the in-batch order).
-
-        ``only`` restricts the workers' LEC-delta hand-off to the named
-        invariants (slicing: untouched verifiers provably no-op).
-
-        A remove immediately followed by an install ships as one update,
-        which the worker applies as one ``replace_rule`` (the serial
-        backend's pairing)."""
-        i, n = 0, len(ops)
-        while i < n:
-            kind, arg = ops[i]
-            i += 1
-            if kind == "remove":
-                install = None
-                if i < n and ops[i][0] == "install":
-                    install = ops[i][1]
-                    i += 1
-                self.apply_rule_update(
-                    dev, at, install=install, remove_rule_id=arg, only=only
-                )
-            elif kind == "install":
-                self.apply_rule_update(dev, at, install=arg, only=only)
-            else:
-                raise SimulationError(f"unknown rule op {kind!r}")
+        self._pending.append((at, "update", dev, list(pairs), only_wire))
 
     @property
     def converged(self) -> bool:
@@ -462,9 +433,9 @@ class ParallelNetwork:
         i = 0
         while i < len(ops):
             kind = ops[i][1]
-            if kind == "install":
+            if kind == "burst":
                 batch: Dict[str, List[Rule]] = {}
-                while i < len(ops) and ops[i][1] == "install":
+                while i < len(ops) and ops[i][1] == "burst":
                     _at, _kind, dev, rules = ops[i]
                     if dev is not None and rules:
                         batch.setdefault(dev, []).extend(rules)
@@ -508,15 +479,10 @@ class ParallelNetwork:
                 # so one drain after n updates converges identically.
                 batches: Dict[int, List[tuple]] = {}
                 while i < len(ops) and ops[i][1] == "update":
-                    _at, _kind, dev, install, remove_id, only = ops[i]
+                    _at, _kind, dev, pairs, only = ops[i]
                     i += 1
-                    payload = (
-                        shipping.ship_rules([install])
-                        if install is not None
-                        else None
-                    )
                     batches.setdefault(self.assignment[dev], []).append(
-                        (dev, payload, remove_id, only)
+                        (dev, shipping.ship_updates(pairs), only)
                     )
                 if inherited:
                     # The fork already delivered the post-update planes; a

@@ -10,7 +10,8 @@ tables) is context-free and rides the pipe's pickle.
 Payload shapes::
 
     tasks:  {"meta": [per-task dicts], "blob": bytes}   # packet spaces
-    rules:  {"meta": [(action, priority, rule_id)], "blobs": [bytes]}
+    updates: {"meta": [(action, priority, rule_id)], "blobs": [bytes],
+              "pairs": [(installs?, remove_id)]}   # installs in pair order
     rule sets: {"meta": [(dev, [(action, priority, rule_id)])], "blob": bytes}
 """
 
@@ -27,14 +28,15 @@ from repro.bdd.serialize import (
     serialize_predicates,
 )
 from repro.core.tasks import DeviceTask
+from repro.dataplane.device import RuleUpdate
 from repro.dataplane.rule import Rule
 
 __all__ = [
     "build_context",
     "ship_tasks",
     "unship_tasks",
-    "ship_rules",
-    "unship_rules",
+    "ship_updates",
+    "unship_updates",
     "ship_rule_sets",
     "unship_rule_sets",
 ]
@@ -98,28 +100,42 @@ def unship_tasks(
     return tasks
 
 
-def ship_rules(rules: Sequence[Rule]) -> Dict[str, object]:
-    """Pack a few forwarding rules (one update's install).
+def ship_updates(pairs: Sequence[RuleUpdate]) -> Dict[str, object]:
+    """Pack one device's ``(install, remove_id)`` rule updates.
 
-    Each match ships as its own canonical stream through the memoized
-    single-predicate codec: churn mostly reinstalls matches already on the
-    wire, and a memo hit on either side costs one dict lookup."""
-    meta = [(rule.action, rule.priority, rule.rule_id) for rule in rules]
-    blobs = [serialize_predicate(_as_predicate(rule.match)) for rule in rules]
-    return {"meta": meta, "blobs": blobs}
+    Each install's match ships as its own canonical stream through the
+    memoized single-predicate codec: churn mostly reinstalls matches
+    already on the wire, and a memo hit on either side costs one dict
+    lookup."""
+    installs = [install for install, _ in pairs if install is not None]
+    return {
+        "meta": [
+            (rule.action, rule.priority, rule.rule_id) for rule in installs
+        ],
+        "blobs": [
+            serialize_predicate(_as_predicate(rule.match)) for rule in installs
+        ],
+        "pairs": [
+            (install is not None, remove_id) for install, remove_id in pairs
+        ],
+    }
 
 
-def unship_rules(
+def unship_updates(
     ctx: PacketSpaceContext, payload: Dict[str, object]
-) -> List[Rule]:
-    """Rebuild shipped rules with their original ids preserved."""
-    matches = [
-        deserialize_predicate(ctx, blob)
-        for blob in payload["blobs"]  # type: ignore[union-attr]
-    ]
+) -> List[RuleUpdate]:
+    """Rebuild shipped rule updates with the rules' original ids."""
+    meta = payload["meta"]
+    blobs = payload["blobs"]
+    rules = iter(
+        [
+            Rule(deserialize_predicate(ctx, blob), action, priority, rule_id=i)
+            for blob, (action, priority, i) in zip(blobs, meta)  # type: ignore[arg-type]
+        ]
+    )
     return [
-        Rule(match, action, priority, rule_id=rule_id)
-        for match, (action, priority, rule_id) in zip(matches, payload["meta"])  # type: ignore[arg-type]
+        (next(rules) if installs else None, remove_id)
+        for installs, remove_id in payload["pairs"]  # type: ignore[union-attr]
     ]
 
 

@@ -252,26 +252,23 @@ class VerifierHost:
         self._drain()
 
     def update(self, updates: Sequence[tuple]) -> None:
-        """Apply a batch of single-rule updates (in order), then drain once.
+        """Apply per-device batches of rule updates, then drain once.
 
-        The DVM fixpoint is order- and batching-independent, so draining
-        once after n updates converges to the same state as n separate
-        drains — which is what lets the coordinator coalesce a churn burst
-        into one command.
-
-        An update's ``only`` component (a sorted tuple of invariant names,
-        or None) restricts the LEC-delta hand-off to those invariants —
-        the slicing scheduler's routing verdict, shipped with the op."""
-        for dev, install_payload, remove_rule_id, only in updates:
-            plane = self.planes[dev]
-            if install_payload is None:
-                deltas = plane.remove_rule(remove_rule_id)
-            else:
-                (rule,) = shipping.unship_rules(self.ctx, install_payload)
-                if remove_rule_id is None:
-                    deltas = plane.install_rule(rule)
-                else:
-                    deltas = plane.replace_rule(remove_rule_id, rule)
+        Each entry is ``(device, shipped (install, remove_id) pairs,
+        only)``: one device event, as on the serial backend — the pairs
+        mutate the plane, and the net LEC deltas go to the device's
+        verifiers in one hand-off.  ``only`` (a sorted tuple of invariant
+        names, or None) restricts that hand-off — the slicing scheduler's
+        routing verdict, shipped with the batch.  The DVM fixpoint is
+        order- and batching-independent, so draining once after n batches
+        converges to the same state as n separate drains — which is what
+        lets the coordinator coalesce a churn burst into one command."""
+        for dev, payload, only in updates:
+            apply_update = self.planes[dev].apply_update
+            deltas = []
+            pairs = shipping.unship_updates(self.ctx, payload)
+            for install, remove_id in pairs:
+                deltas.extend(apply_update(install, remove_id))
             for invariant, verifier in self._by_dev.get(dev, ()):
                 if only is not None and invariant not in only:
                     continue

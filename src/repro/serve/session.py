@@ -377,11 +377,12 @@ class StreamSession:
         self.total_events += 1
 
     def _enqueue_device(self, request: DeviceRequest) -> None:
-        if self.runner.backend != "serial":
+        backend = self.runner.backend
+        if request.op in ("crash", "restart") and backend != "serial":
             raise ProtocolError(
                 "serial-only",
                 f"op {request.op!r} needs the serial backend "
-                f"(got {self.runner.backend!r})",
+                f"(got {backend!r})",
             )
         dev = request.device
         if not self.runner.topology.has_device(dev):

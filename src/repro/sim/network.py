@@ -22,14 +22,14 @@ can also crash and restart (:meth:`SimNetwork.crash_device` /
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
 from math import frexp as _frexp
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.bdd.predicate import PacketSpaceContext
+from repro.core.dvm import SubscribeMessage, UpdateMessage
 from repro.core.tasks import TaskSet
 from repro.core.verifier import OnDeviceVerifier, Outgoing
-from repro.dataplane.device import DevicePlane
+from repro.dataplane.device import DevicePlane, RuleUpdate
 from repro.dataplane.rule import Rule
 from repro.errors import SimulationError
 from repro.sim.kernel import SimKernel
@@ -45,6 +45,10 @@ from repro.sim.transport import (
 from repro.topology.graph import Topology, canonical_link
 
 __all__ = ["SimDevice", "SimNetwork"]
+
+#: What one device event hands back for routing: an ``(invariant,
+#: outgoing)`` group per verifier that ran.
+Groups = Sequence[Tuple[str, List[Outgoing]]]
 
 
 class SimDevice:
@@ -75,27 +79,32 @@ class SimDevice:
     # ------------------------------------------------------------------
     def process(
         self,
-        handler: Callable[[], List[Outgoing]],
+        handler: Callable[[], Groups],
         invariant: Optional[str] = None,
         record_message_cost: bool = False,
         record_init_cost: bool = False,
         label: str = "task",
     ) -> None:
-        """Run a handler now; advance device time; route outgoing messages.
+        """Run a handler now as one device event; advance device time; route
+        its outgoing messages.
 
         The handler executes at event-pop time (device events are serial, so
         state order equals processing order); its wall-clock cost, scaled by
-        the network's CPU factor, becomes the simulated processing time.
+        the network's CPU factor, becomes the simulated processing time.  It
+        returns one ``(invariant, outgoing)`` group per verifier it ran — one
+        for a DVM message, one per local verifier for a FIB change — so every
+        message leaves under its verifier's invariant without being
+        re-tupled.  ``invariant`` only names the tracer span.
         """
-        kernel = self.network.kernel
-        start = max(kernel.now, self.busy_until)
+        network = self.network
+        start = max(network.kernel.now, self.busy_until)
         t0 = _time.perf_counter()
-        outgoing = handler() or []
-        cost = (_time.perf_counter() - t0) * self.network.cpu_scale
+        groups = handler()
+        cost = (_time.perf_counter() - t0) * network.cpu_scale
         finish = start + cost
         self.busy_until = finish
 
-        metrics = self.network.metrics.device(self.name)
+        metrics = network.metrics.device(self.name)
         metrics.events_processed += 1
         metrics.busy_time += cost
         if record_message_cost:
@@ -110,14 +119,16 @@ class SimDevice:
             costs.buckets[key] = costs.buckets.get(key, 0) + 1
         if record_init_cost:
             metrics.init_cost += cost
-        self.network.note_activity(finish)
-        if self.network.tracer is not None:
-            self.network.tracer.task_span(
+        network.note_activity(finish)
+        if network.tracer is not None:
+            network.tracer.task_span(
                 self.name, label, invariant, start, finish
             )
 
-        for dest, message in outgoing:
-            self.network.send(self.name, dest, message, invariant, at=finish)
+        send = network.send
+        for group_invariant, outgoing in groups:
+            for dest, message in outgoing:
+                send(self.name, dest, message, group_invariant, at=finish)
 
 
 class SimNetwork:
@@ -334,18 +345,16 @@ class SimNetwork:
         verifier = device.verifiers.get(invariant) if invariant else None
         if verifier is None:
             return
-        from repro.core.dvm import SubscribeMessage, UpdateMessage
-
         if isinstance(message, UpdateMessage):
             device.process(
-                lambda: verifier.handle_update(message),
+                lambda: ((invariant, verifier.handle_update(message)),),
                 invariant,
                 record_message_cost=True,
                 label="update",
             )
         elif isinstance(message, SubscribeMessage):
             device.process(
-                lambda: verifier.handle_subscribe(message),
+                lambda: ((invariant, verifier.handle_subscribe(message)),),
                 invariant,
                 record_message_cost=True,
                 label="subscribe",
@@ -362,184 +371,87 @@ class SimNetwork:
     # ------------------------------------------------------------------
     def initialize(self, at: float = 0.0) -> None:
         """Kick off the initialization phase on every device."""
-        for name, device in self.devices.items():
+        for device in self.devices.values():
             for inv_name, verifier in device.verifiers.items():
-                def make(dev=device, ver=verifier, inv=inv_name):
-                    def run() -> None:
-                        dev.process(
-                            ver.initialize, inv,
-                            record_init_cost=True, label="init",
-                        )
-                    return run
-                self.kernel.schedule_at(at, make())
+                self._schedule_init(device, inv_name, verifier, at)
+
+    def _schedule_init(
+        self,
+        device: SimDevice,
+        invariant: str,
+        verifier: OnDeviceVerifier,
+        at: float,
+    ) -> None:
+        self.kernel.schedule_at(
+            at,
+            lambda: device.process(
+                lambda: ((invariant, verifier.initialize()),),
+                invariant,
+                record_init_cost=True,
+                label="init",
+            ),
+        )
 
     def install_rules(self, dev: str, rules: Sequence[Rule], at: float) -> None:
         """Burst-install rules on a device (data plane + verifier deltas)."""
         device = self.devices[dev]
 
-        def run() -> None:
-            start = max(self.kernel.now, device.busy_until)
-            t0 = _time.perf_counter()
+        def handler() -> Groups:
             device.plane.install_many(rules)
-            all_out: List[Tuple[str, object, str]] = []
-            for inv_name, verifier in device.verifiers.items():
-                for dest, msg in verifier.initialize():
-                    all_out.append((dest, msg, inv_name))
-            cost = (_time.perf_counter() - t0) * self.cpu_scale
-            finish = start + cost
-            device.busy_until = finish
-            metrics = self.metrics.device(dev)
-            metrics.events_processed += 1
-            metrics.busy_time += cost
-            metrics.init_cost += cost
-            self.note_activity(finish)
-            if self.tracer is not None:
-                self.tracer.task_span(dev, "install_rules", None, start, finish)
-            for dest, msg, inv_name in all_out:
-                self.send(dev, dest, msg, inv_name, at=finish)
+            return [
+                (inv_name, verifier.initialize())
+                for inv_name, verifier in device.verifiers.items()
+            ]
 
-        self.kernel.schedule_at(at, run)
-
-    def _schedule_fib_rewrite(
-        self, dev: str, at: float, label: str, mutate, only=None
-    ) -> None:
-        """Schedule a FIB mutation on one device: ``mutate(plane)`` returns
-        the LEC deltas, which every local verifier processes in the same
-        handler before the outgoing DVM messages are routed.
-
-        ``only`` (a set of invariant names) restricts which local verifiers
-        see the deltas — the slicing scheduler passes the invariants of the
-        touched slices, having proven the rest would no-op on them."""
-        device = self.devices[dev]
-
-        def run() -> None:
-            start = max(self.kernel.now, device.busy_until)
-            t0 = _time.perf_counter()
-            deltas = mutate(device.plane)
-            all_out: List[Tuple[str, object, str]] = []
-            for inv_name, verifier in device.verifiers.items():
-                if only is not None and inv_name not in only:
-                    continue
-                for dest, msg in verifier.handle_lec_deltas(deltas):
-                    all_out.append((dest, msg, inv_name))
-            cost = (_time.perf_counter() - t0) * self.cpu_scale
-            finish = start + cost
-            device.busy_until = finish
-            metrics = self.metrics.device(dev)
-            metrics.events_processed += 1
-            metrics.busy_time += cost
-            # CostAggregate.add, inlined as in SimDevice.process.
-            costs = metrics.message_costs
-            costs.count += 1
-            costs.total += cost
-            if cost > costs.max:
-                costs.max = cost
-            mantissa, exponent = _frexp(cost)
-            key = exponent * 16 + int(mantissa * 16)
-            costs.buckets[key] = costs.buckets.get(key, 0) + 1
-            self.note_activity(finish)
-            if self.tracer is not None:
-                self.tracer.task_span(dev, label, None, start, finish)
-            for dest, msg, inv_name in all_out:
-                self.send(dev, dest, msg, inv_name, at=finish)
-
-        self.kernel.schedule_at(at, run)
-
-    def apply_rule_update(
-        self,
-        dev: str,
-        at: float,
-        install: Optional[Rule] = None,
-        remove_rule_id: Optional[int] = None,
-    ) -> None:
-        """Incremental rule update: compute LEC deltas, drive verifiers."""
-        ops: List[Tuple[str, object]] = []
-        if remove_rule_id is not None:
-            ops.append(("remove", remove_rule_id))
-        if install is not None:
-            ops.append(("install", install))
-        self.apply_rule_updates(dev, at, ops)
+        self.kernel.schedule_at(
+            at,
+            lambda: device.process(
+                handler, record_init_cost=True, label="install_rules"
+            ),
+        )
 
     def apply_rule_updates(
         self,
         dev: str,
         at: float,
-        ops: Sequence[Tuple[str, object]],
+        pairs: Sequence[RuleUpdate],
         only: Optional[Set[str]] = None,
     ) -> None:
-        """Apply a coalesced batch of rule updates on one device.
+        """Apply a batch of rule updates on one device as one event.
 
-        ``ops`` is an ordered sequence of ``("remove", rule_id)`` /
-        ``("install", Rule)`` pairs.  The whole batch runs in *one* event
-        handler — one plane mutation pass, one LEC-delta hand-off per
-        verifier — which is the squashing win the serving mode's coalescer
-        exploits; the quiescent fixpoint is identical to applying the same
-        ops one handler at a time (DVM update commutativity).
+        ``pairs`` is an ordered sequence of ``(install, remove_id)`` rule
+        updates (:meth:`DevicePlane.apply_update`).  The whole batch runs in
+        *one* event handler — one plane mutation pass, one LEC-delta
+        hand-off per verifier — which is the squashing win the serving
+        mode's coalescer exploits; the quiescent fixpoint is identical to
+        applying the same pairs one handler at a time (DVM update
+        commutativity).  A drain (every rule removed) and its restore are
+        such batches too.
 
         ``only`` restricts the LEC-delta hand-off to the named invariants
         (slicing: untouched verifiers provably no-op on these deltas).
-
-        A remove immediately followed by an install is one
-        :meth:`DevicePlane.replace_rule`, so a same-match replace hands the
-        verifiers its net LEC change (none for a same-action refresh).
         """
-        if dev not in self.devices:
+        device = self.devices.get(dev)
+        if device is None:
             raise SimulationError(f"unknown device {dev!r}")
 
-        def mutate(plane) -> list:
+        def handler() -> Groups:
+            apply_update = device.plane.apply_update
             deltas = []
-            i, n = 0, len(ops)
-            while i < n:
-                kind, arg = ops[i]
-                i += 1
-                if kind == "remove":
-                    if i < n and ops[i][0] == "install":
-                        deltas.extend(plane.replace_rule(arg, ops[i][1]))
-                        i += 1
-                    else:
-                        deltas.extend(plane.remove_rule(arg))
-                elif kind == "install":
-                    deltas.extend(plane.install_rule(arg))
-                else:
-                    raise SimulationError(f"unknown rule op {kind!r}")
-            return deltas
+            for install, remove_id in pairs:
+                deltas.extend(apply_update(install, remove_id))
+            return [
+                (inv_name, verifier.handle_lec_deltas(deltas))
+                for inv_name, verifier in device.verifiers.items()
+                if only is None or inv_name in only
+            ]
 
-        self._schedule_fib_rewrite(dev, at, "rule_update", mutate, only=only)
-
-    def drain_device(self, dev: str, at: float) -> None:
-        """Maintenance drain: withdraw every rule from a device's FIB.
-
-        The device and its verifiers stay up — this is the rolling-upgrade
-        precondition where traffic is steered away before the box is
-        touched.  All removals run in one handler (one LEC recomputation),
-        and the resulting deltas propagate through the verifiers exactly
-        like any other rule update, so invariants are re-verified *under
-        the drained FIB*.
-        """
-        if dev not in self.devices:
-            raise SimulationError(f"unknown device {dev!r}")
-
-        def mutate(plane) -> list:
-            deltas = []
-            for rule in list(plane.rules):
-                deltas.extend(plane.remove_rule(rule.rule_id))
-            return deltas
-
-        self._schedule_fib_rewrite(dev, at, "drain", mutate)
-
-    def restore_rules(self, dev: str, rules: Sequence[Rule], at: float) -> None:
-        """Reinstall a drained device's FIB (the rolling-upgrade epilogue):
-        one handler installs every rule and propagates the LEC deltas."""
-        if dev not in self.devices:
-            raise SimulationError(f"unknown device {dev!r}")
-
-        def mutate(plane) -> list:
-            deltas = []
-            for rule in rules:
-                deltas.extend(plane.install_rule(rule))
-            return deltas
-
-        self._schedule_fib_rewrite(dev, at, "restore", mutate)
+        self.kernel.schedule_at(
+            at,
+            lambda: device.process(
+                handler, record_message_cost=True, label="rule_update"
+            ),
+        )
 
     def change_link(self, a: str, b: str, is_up: bool, at: float) -> None:
         """Fail or recover a link; both endpoints react locally."""
@@ -557,11 +469,14 @@ class SimNetwork:
             for endpoint, other in ((a, b), (b, a)):
                 device = self.devices[endpoint]
                 for inv_name, verifier in device.verifiers.items():
-                    def make(dev=device, ver=verifier, inv=inv_name, neigh=other):
-                        def handler() -> List[Outgoing]:
-                            return ver.handle_link_change(neigh, is_up)
-                        return lambda: dev.process(handler, inv, label="link_change")
-                    make()()
+                    device.process(
+                        lambda: ((
+                            inv_name,
+                            verifier.handle_link_change(other, is_up),
+                        ),),
+                        inv_name,
+                        label="link_change",
+                    )
 
         self.kernel.schedule_at(at, run)
 
@@ -589,11 +504,13 @@ class SimNetwork:
             for neighbor in self.topology.neighbors(dev):
                 device = self.devices[neighbor]
                 for inv_name, verifier in device.verifiers.items():
-                    def make(ndev=device, ver=verifier, inv=inv_name):
-                        def handler() -> List[Outgoing]:
-                            return ver.handle_link_change(dev, False)
-                        return lambda: ndev.process(handler, inv, label="neighbor_crash")
-                    make()()
+                    device.process(
+                        lambda: ((
+                            inv_name, verifier.handle_link_change(dev, False)
+                        ),),
+                        inv_name,
+                        label="neighbor_crash",
+                    )
 
         self.kernel.schedule_at(at, run)
 
@@ -626,22 +543,22 @@ class SimNetwork:
             for task_set in self.task_sets:
                 device.add_task(task_set)
             for inv_name, verifier in device.verifiers.items():
-                def make_init(rdev=device, ver=verifier, inv=inv_name):
-                    return lambda: rdev.process(
-                        ver.initialize, inv, record_init_cost=True,
-                        label="init",
-                    )
-                make_init()()
+                device.process(
+                    lambda: ((inv_name, verifier.initialize()),),
+                    inv_name,
+                    record_init_cost=True,
+                    label="init",
+                )
             for neighbor in self.topology.neighbors(dev):
                 ndev = self.devices[neighbor]
                 for inv_name, verifier in ndev.verifiers.items():
-                    def make(nd=ndev, ver=verifier, inv=inv_name):
-                        def handler() -> List[Outgoing]:
-                            return ver.handle_neighbor_restart(dev)
-                        return lambda: nd.process(
-                            handler, inv, label="neighbor_restart"
-                        )
-                    make()()
+                    ndev.process(
+                        lambda: (
+                            (inv_name, verifier.handle_neighbor_restart(dev)),
+                        ),
+                        inv_name,
+                        label="neighbor_restart",
+                    )
 
         self.kernel.schedule_at(at, run)
 
@@ -663,17 +580,12 @@ class SimNetwork:
                     if name in self.devices_down:
                         continue
                     device.add_task(task_set)
-                    verifier = device.verifiers.get(task_set.invariant_name)
-                    if verifier is None:
-                        continue
-
-                    def make(dev=device, ver=verifier, inv=task_set.invariant_name):
-                        return lambda: dev.process(
-                            ver.initialize, inv,
-                            record_init_cost=True, label="init",
+                    inv_name = task_set.invariant_name
+                    verifier = device.verifiers.get(inv_name)
+                    if verifier is not None:
+                        self._schedule_init(
+                            device, inv_name, verifier, self.kernel.now
                         )
-
-                    self.kernel.schedule_at(self.kernel.now, make())
 
         self.kernel.schedule_at(at, run)
 
@@ -704,11 +616,13 @@ class SimNetwork:
         def run() -> None:
             for device in self.devices.values():
                 for inv_name, verifier in device.verifiers.items():
-                    def make(dev=device, ver=verifier, inv=inv_name):
-                        def handler() -> List[Outgoing]:
-                            return ver.activate_scene(scene_id)
-                        return lambda: dev.process(handler, inv, label="scene")
-                    make()()
+                    device.process(
+                        lambda: ((
+                            inv_name, verifier.activate_scene(scene_id)
+                        ),),
+                        inv_name,
+                        label="scene",
+                    )
 
         self.kernel.schedule_at(at, run)
 

@@ -20,7 +20,7 @@ from repro.bdd.predicate import PacketSpaceContext
 from repro.core.invariant import Invariant
 from repro.core.planner import Planner
 from repro.core.tasks import TaskSet
-from repro.dataplane.device import DevicePlane
+from repro.dataplane.device import DevicePlane, RuleUpdate
 from repro.dataplane.rule import Rule
 from repro.errors import DataPlaneError, SimulationError
 from repro.sim.network import SimNetwork
@@ -169,7 +169,7 @@ class TulkunRunner:
         # deployment, reused by every later one via worker resets.
         self._pool = None
         # Rules withdrawn by drain_device, keyed by device, awaiting
-        # restore_drained (rolling-upgrade bookkeeping).
+        # restore_drained (rolling-upgrade bookkeeping; either backend).
         self._drained: Dict[str, List[Rule]] = {}
         # Intent-based slicing: footprint router + per-slice verdict
         # bookkeeping.  ``_status_dirty`` holds invariant names whose cached
@@ -366,30 +366,30 @@ class TulkunRunner:
         sequential bursts reach the same fixpoint as one combined burst.
 
         Each update is ``(device, rule_to_install, rule_id_to_remove)``;
-        per-device order is preserved, removals within a pair run before
-        the install (the :meth:`SimNetwork.apply_rule_update` contract).
-        """
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        per-device order is preserved, and each becomes one
+        ``(install, remove_id)`` pair (:meth:`DevicePlane.apply_update`).
+        A remove-only update directly followed by an install-only one on
+        the same device is the same pair as the two given together: one
+        replace.  The burst is validated before any plane changes."""
+        network = self._live_network()
         if not updates:
             return 0.0
-        start = _schedule_start(network)
-        per_device: Dict[str, List[Tuple[str, object]]] = {}
-        order: List[str] = []
-        for dev, install, remove_id in updates:
-            ops = per_device.get(dev)
-            if ops is None:
-                ops = per_device[dev] = []
-                order.append(dev)
-            if remove_id is not None:
-                ops.append(("remove", remove_id))
-            if install is not None:
-                ops.append(("install", install))
         only_by_dev = self._route_updates(updates)
-        for dev in order:
+        start = _schedule_start(network)
+        pairs_by_dev: Dict[str, List[RuleUpdate]] = {}
+        for dev, install, remove_id in updates:
+            pairs = pairs_by_dev.setdefault(dev, [])
+            if install is None and remove_id is None:
+                continue
+            if remove_id is None and pairs and pairs[-1][0] is None:
+                # The one pairing rule: a remove-only update directly
+                # followed by an install-only one is a single replace.
+                pairs[-1] = (install, pairs[-1][1])
+            else:
+                pairs.append((install, remove_id))
+        for dev, pairs in pairs_by_dev.items():
             network.apply_rule_updates(
-                dev, start, per_device[dev], only=only_by_dev[dev]
+                dev, start, pairs, only=only_by_dev[dev]
             )
         finish = network.run()
         return max(0.0, finish - start)
@@ -399,25 +399,30 @@ class TulkunRunner:
         updates: Sequence[Tuple[str, Optional[Rule], Optional[int]]],
     ) -> Dict[str, Set[str]]:
         """Slicing router for one update burst: per device, the invariant
-        names of every slice the device's ops can touch.
+        names of every slice the device's updates can touch.
 
         Runs *before* any plane mutation and validates the burst on the
-        way: a removal resolves against the burst's own earlier ops, then
-        the still-unmutated plane, so an id installed in neither raises
-        :class:`DataPlaneError` with every plane untouched.  Installs pass
-        through :meth:`SliceRegistry.note_rules` first — a transform action
-        turns packet gating off for this and every later burst."""
+        way, so a bad update raises :class:`DataPlaneError` with every
+        plane (and the process backend's mirror) untouched and nothing
+        scheduled: a removal must name a rule the burst's own earlier
+        updates, or else the plane, leave installed; an install must carry
+        an id that is not live there (unless the burst removed it earlier)
+        and that no other install of the burst carries.  Installs pass
+        through :meth:`SliceRegistry.note_rules` — a transform action turns
+        packet gating off for this and every later burst."""
         registry = self.slice_registry
         devices = self.network.devices
         touched_all: Set[str] = set()
         slices_by_dev: Dict[str, Set[str]] = {}
         # (device, rule id) -> the rule the burst leaves there (None: removed)
         burst: Dict[Tuple[str, int], Optional[Rule]] = {}
+        installed: Set[int] = set()
         for dev, install, remove_id in updates:
             dev_slices = slices_by_dev.setdefault(dev, set())
+            plane = devices[dev].plane
             if remove_id is not None:
                 key = (dev, remove_id)
-                rule = burst.get(key, devices[dev].plane.get_rule(remove_id))
+                rule = burst.get(key, plane.get_rule(remove_id))
                 if rule is None:
                     raise DataPlaneError(
                         f"rule {remove_id} not installed on {dev}"
@@ -425,7 +430,18 @@ class TulkunRunner:
                 burst[key] = None
                 dev_slices |= registry.touched_by_update(dev, rule.match)
             if install is not None:
-                burst[(dev, install.rule_id)] = install
+                rule_id = install.rule_id
+                key = (dev, rule_id)
+                if burst.get(key, plane.get_rule(rule_id)) is not None:
+                    raise DataPlaneError(
+                        f"rule {rule_id} already installed on {dev}"
+                    )
+                if rule_id in installed:
+                    raise DataPlaneError(
+                        f"rule {rule_id} is installed twice in one burst"
+                    )
+                installed.add(rule_id)
+                burst[key] = install
                 registry.note_rules((install,))
                 dev_slices |= registry.touched_by_update(dev, install.match)
             touched_all |= dev_slices
@@ -444,9 +460,7 @@ class TulkunRunner:
 
         Each update is ``(device, rule_to_install, rule_id_to_remove)``.
         """
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        network = self._live_network()
         result = IncrementalResult()
         for update in updates:
             result.times.append(self.apply_updates([update]))
@@ -543,24 +557,22 @@ class TulkunRunner:
         """Rebuild the deployment from the live planes (same Rule objects,
         ids preserved; the process backend's worker pool is reused) and run
         back to quiescence under the current link state.  Returns the
-        convergence time of the rebuilt deployment."""
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        convergence time of the rebuilt deployment.  A drained device stays
+        drained: its live plane is what is rebuilt, and the rules awaiting
+        :meth:`restore_drained` are kept."""
+        network = self._live_network()
         if getattr(network, "devices_down", None):
             raise SimulationError(
                 "cannot redeploy while devices are crashed"
-            )
-        if self._drained:
-            raise SimulationError(
-                "cannot redeploy while devices are drained"
             )
         saved = {
             dev: list(network.devices[dev].plane.rules)
             for dev in network.devices
         }
         failed = [tuple(link) for link in sorted(network.failed_links)]
+        drained = dict(self._drained)
         fresh = self.deploy({})
+        self._drained.update(drained)
         for dev in self.topology.devices:
             fresh.install_rules(dev, saved.get(dev, []), at=0.0)
         for a, b in failed:
@@ -576,9 +588,7 @@ class TulkunRunner:
         fault-tolerant DPVNet labels for that scene after the (simulated)
         link-state flood.
         """
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        network = self._live_network()
         if scene_id is not None:
             self._scene_active = True
         self._route_links(links, recount_all=scene_id is not None)
@@ -592,9 +602,7 @@ class TulkunRunner:
         return max(0.0, finish - start)
 
     def recover_links(self, links: Sequence[Tuple[str, str]]) -> float:
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        network = self._live_network()
         recount_all, self._scene_active = self._scene_active, False
         self._route_links(links, recount_all)
         start = _schedule_start(network)
@@ -631,9 +639,7 @@ class TulkunRunner:
         invariant's device footprint.  Untouched invariants are answered
         from cache, making a statuses sweep O(touched footprint) instead of
         O(invariants × devices)."""
-        network = self.network
-        if network is None:
-            raise RuntimeError("deploy/burst_update the network first")
+        network = self._live_network()
         status_of = getattr(network, "invariant_status", None)
         registry = self.slice_registry
         cache = self._status_cache
@@ -670,44 +676,52 @@ class TulkunRunner:
         return max(0.0, finish - start)
 
     def drain_device(self, dev: str) -> float:
-        """Maintenance drain (serial backend): withdraw the device's whole
-        FIB and re-verify under the drained state; return settle duration.
+        """Maintenance drain: withdraw the device's whole FIB and re-verify
+        under the drained state; return the settle duration.
 
-        The withdrawn rules are kept so :meth:`restore_drained` can
-        reinstall them — a crash/restart of the device in between (the
-        rolling-upgrade window) does not lose them, matching real
-        maintenance where the intended FIB lives in the controller.  The
-        *same* Rule objects come back on restore, so their ids stay valid
-        across the maintenance window (the serving mode addresses live
-        rules by id through client-visible keys).
+        The drain is one batch of remove-only rule updates, so it runs on
+        either backend.  The withdrawn rules are kept so
+        :meth:`restore_drained` can reinstall them — a crash/restart of the
+        device in between (the rolling-upgrade window) does not lose them,
+        matching real maintenance where the intended FIB lives in the
+        controller.  The *same* Rule objects come back on restore, so their
+        ids stay valid across the maintenance window (the serving mode
+        addresses live rules by id through client-visible keys).
         """
-        network = self._sim_network()
+        network = self._live_network()
         if dev in self._drained:
             raise SimulationError(f"device {dev!r} is already drained")
-        self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
-        self._drained[dev] = list(network.devices[dev].plane.rules)
-        start = _schedule_start(network)
-        network.drain_device(dev, at=start)
-        finish = network.run()
-        return max(0.0, finish - start)
+        rules = list(network.devices[dev].plane.rules)
+        self._drained[dev] = rules
+        return self._rewrite(dev, [(None, rule.rule_id) for rule in rules])
 
     def restore_drained(self, dev: str) -> float:
         """Reinstall a drained device's FIB; return the settle duration."""
-        network = self._sim_network()
+        self._live_network()
         saved = self._drained.pop(dev, None)
         if saved is None:
             raise SimulationError(f"device {dev!r} is not drained")
         self.slice_registry.note_rules(saved)
+        return self._rewrite(dev, [(rule, None) for rule in saved])
+
+    def _rewrite(self, dev: str, pairs: List[RuleUpdate]) -> float:
+        """A whole-FIB rewrite of one device (drain or restore) as one
+        batch of rule updates, handed to every local verifier."""
+        network = self.network
         self._mark_touched(self.slice_registry.touched_by_rewrite(dev))
         start = _schedule_start(network)
-        network.restore_rules(dev, saved, at=start)
+        network.apply_rule_updates(dev, start, pairs)
         finish = network.run()
         return max(0.0, finish - start)
 
-    def _sim_network(self) -> SimNetwork:
+    def _live_network(self):
         network = self.network
         if network is None:
             raise RuntimeError("deploy/burst_update the network first")
+        return network
+
+    def _sim_network(self) -> SimNetwork:
+        network = self._live_network()
         if not isinstance(network, SimNetwork):
             raise RuntimeError(
                 "device crash/restart requires the serial backend"

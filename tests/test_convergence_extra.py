@@ -76,14 +76,16 @@ class TestTransformsDistributed:
         network = runner.network
         n_plane = network.devices["N"].plane
         victim = n_plane.rules[0]
-        network.apply_rule_update(
-            "N", at=network.last_activity,
-            install=Rule(
-                p80,
-                Action.forward_all(["D"], transform=Transform.set_fields(dst_port=9090)),
-                1,
-            ),
-            remove_rule_id=victim.rule_id,
+        network.apply_rule_updates(
+            "N", network.last_activity,
+            [(
+                Rule(
+                    p80,
+                    Action.forward_all(["D"], transform=Transform.set_fields(dst_port=9090)),
+                    1,
+                ),
+                victim.rule_id,
+            )],
         )
         network.run()
         assert not network.all_hold("nat")
@@ -109,13 +111,16 @@ class TestTransformsDistributed:
         result = runner.burst_update(_as_rules(planes))
         assert not result.holds["nat_late"]
         network = runner.network
-        network.apply_rule_update(
-            "N", at=network.last_activity,
-            install=Rule(
-                p80,
-                Action.forward_all(["D"], transform=Transform.set_fields(dst_port=8080)),
-                1,
-            ),
+        network.apply_rule_updates(
+            "N", network.last_activity,
+            [(
+                Rule(
+                    p80,
+                    Action.forward_all(["D"], transform=Transform.set_fields(dst_port=8080)),
+                    1,
+                ),
+                None,
+            )],
         )
         network.run()
         assert network.all_hold("nat_late")
@@ -162,10 +167,9 @@ class TestReductionModes:
         network = runner.network
         s_plane = network.devices["S"].plane
         victim = s_plane.rules[0]
-        network.apply_rule_update(
-            "S", at=network.last_activity,
-            install=Rule(space, Action.forward_all(["A"]), 1),
-            remove_rule_id=victim.rule_id,
+        network.apply_rule_updates(
+            "S", network.last_activity,
+            [(Rule(space, Action.forward_all(["A"]), 1), victim.rule_id)],
         )
         network.run()
         assert network.all_hold(inv.name)

@@ -53,10 +53,10 @@ class TestSerializedMessages:
         victim = w_plane.rules[0]
         from repro.dataplane import Action
 
-        network.apply_rule_update(
-            "W", at=network.last_activity,
-            install=Rule(victim.match, Action.drop(), victim.priority),
-            remove_rule_id=victim.rule_id,
+        network.apply_rule_updates(
+            "W", network.last_activity,
+            [(Rule(victim.match, Action.drop(), victim.priority),
+              victim.rule_id)],
         )
         network.run()
         # With W black-holing, P2 traffic still reaches D via... B drops P2,

@@ -22,7 +22,7 @@ boundaries fall.
 Coverage: fig2a under both predicate-index modes, fig2a lifecycle streams
 (crash/drain windows over the reliable transport, honest UNKNOWN
 degradation), FT-4 streams, and the process backend (pool reuse across
-epochs and invariant-change redeploys).
+epochs, invariant-change redeploys, drain/restore windows).
 """
 
 import json
@@ -150,6 +150,7 @@ class StreamGen:
         churn_initial=True,
         flap_links=True,
         lifecycle=False,
+        crashes=True,
     ):
         self.rng = random.Random(seed)
         self.topology = topology
@@ -163,6 +164,7 @@ class StreamGen:
         self.removed_invs = []
         self.flap_links = flap_links
         self.lifecycle = lifecycle
+        self.crashes = crashes  # False: drain/restore only (either backend)
         self.links_down = set()
         self.down = set()
         self.drained = set()
@@ -257,7 +259,7 @@ class StreamGen:
         if not devices:
             return None
         dev = self.rng.choice(devices)
-        if self.rng.random() < 0.5 and not self.down:
+        if self.crashes and self.rng.random() < 0.5 and not self.down:
             self.down.add(dev)
             return {"op": "crash", "device": dev}
         if not self.drained:
@@ -301,7 +303,9 @@ class StreamGen:
         return lines[:count]
 
 
-def fig2a_stream(seed, *, lifecycle=False, invariants=True, count=24):
+def fig2a_stream(
+    seed, *, lifecycle=False, crashes=True, invariants=True, count=24
+):
     topology = parse_topology_text((SPECS / "fig2a.topo").read_text())
     return StreamGen(
         seed,
@@ -311,6 +315,7 @@ def fig2a_stream(seed, *, lifecycle=False, invariants=True, count=24):
         matches=MATCH_POOL,
         invariant_specs=INVARIANT_SPECS if invariants else None,
         lifecycle=lifecycle,
+        crashes=crashes,
     ).generate(count)
 
 
@@ -434,6 +439,23 @@ class TestHeavyStreams:
             lambda: fig2a_session(backend="process", workers=2),
             lines,
             seed,
+        )
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_fig2a_process_backend_drain_restore(self, seed):
+        """Drain/restore windows on the process backend (invariant changes
+        redeploy inside them): chunking-independent, and equal to the
+        serial backend's outcome for the same stream."""
+        lines = fig2a_stream(seed + 450, lifecycle=True, crashes=False)
+        assert any('"drain"' in line for line in lines)
+        assert any('"restore"' in line for line in lines)
+
+        def process():
+            return fig2a_session(backend="process", workers=2)
+
+        differential(process, lines, seed)
+        assert_identical(
+            run_stream(fig2a_session, lines), run_stream(process, lines)
         )
 
     def test_process_pool_reused_across_stream_epochs(self):

@@ -233,9 +233,8 @@ class TestConvergence:
                 else Action.forward_all([rng.choice(neighbors)])
             )
             new_rule = Rule(victim.match, new_action, victim.priority)
-            network.apply_rule_update(
-                dev, at=network.last_activity, install=new_rule,
-                remove_rule_id=victim.rule_id,
+            network.apply_rule_updates(
+                dev, network.last_activity, [(new_rule, victim.rule_id)]
             )
             network.run()
         final_planes = {d: network.devices[d].plane for d in topo.devices}
